@@ -282,7 +282,8 @@ def _cmd_check(args) -> int:
     if rep:
         print(f"holds: {sorted(S)} satisfies mode {args.mode}")
         return 0
-    print(f"fails: witness vertex {rep.witness}")
+    kind = "arc" if isinstance(rep.witness, tuple) else "vertex"
+    print(f"fails: witness {kind} {rep.witness}")
     return 1
 
 

@@ -12,7 +12,14 @@ from .errors import ResourceLimitError
 
 @dataclass(frozen=True)
 class SolverLimits:
-    """Size and work caps for the exhaustive searches."""
+    """Size and work caps for the exhaustive searches.
+
+    max_n caps the vertex count.  max_subsets caps the search nodes a call
+    may visit, None meaning no cap.  In the enumeration searches a node is
+    one candidate independent set, tried in ascending vertex order.  In
+    smallest_q_kernel and q_kernel_at_most, which branch on the lowest
+    vertex not yet covered, a node is one branch or one vertex tried.
+    """
 
     max_n: int = 24
     max_subsets: int | None = None
@@ -45,13 +52,12 @@ def _cover_masks(G: Digraph, q: int):
     return G.reach_masks(q)
 
 
-def _hit_masks(G: Digraph, q: int, budget: _Budget, cap: int | None):
+def _hit_masks(G: Digraph, q: int, budget: _Budget):
     """Yield masks of independent sets whose q-step closure covers V.
 
     DFS over ascending vertex indices, so hits come out in lexicographic
     order of their sorted member tuples.  Supersets of a hit are explored
-    too since they may also be hits.  cap bounds the member count; it must
-    be None or >= 1.
+    too since they may also be hits.
     """
     full = G.full_mask
     if full == 0:
@@ -64,7 +70,7 @@ def _hit_masks(G: Digraph, q: int, budget: _Budget, cap: int | None):
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] | reach[v]
 
-    def rec(start, members, banned, cover, size):
+    def rec(start, members, banned, cover):
         for v in range(start, n):
             bit = 1 << v
             if banned & bit:
@@ -76,19 +82,14 @@ def _hit_masks(G: Digraph, q: int, budget: _Budget, cap: int | None):
             new_cover = cover | reach[v]
             if new_cover == full:
                 yield members | bit
-            if cap is None or size + 1 < cap:
-                yield from rec(
-                    v + 1, members | bit, banned | bit | und[v], new_cover, size + 1
-                )
+            yield from rec(v + 1, members | bit, banned | bit | und[v], new_cover)
 
-    yield from rec(0, 0, 0, 0, 0)
+    yield from rec(0, 0, 0, 0)
 
 
-def _iter_hits(G, q, limits, cap=None, budget=None):
+def _iter_hits(G, q, limits):
     _guard(G, limits)
-    if budget is None:
-        budget = _Budget(limits.max_subsets)
-    return _hit_masks(G, q, budget, cap)
+    return _hit_masks(G, q, _Budget(limits.max_subsets))
 
 
 def enumerate_q_kernels(G: Digraph, q: int = 2, limits: SolverLimits | None = None):
@@ -110,22 +111,88 @@ def has_kernel(G: Digraph, limits: SolverLimits | None = None) -> bool:
     return next(_iter_hits(G, 1, limits), None) is not None
 
 
+def _smallest(
+    G: Digraph, q: int, limits: SolverLimits, cap: int
+) -> VertexSet | None:
+    """Lexicographically smallest minimum q-kernel if it has at most cap members.
+
+    Set-cover branching (Fomin and Kratsch, Exact Exponential Algorithms,
+    2010): some member of every q-kernel reaches the lowest uncovered vertex u
+    within q steps, so a search that tries each such vertex in ascending
+    order, barring the siblings tried before it, misses no kernel.  Sizes are
+    tried in ascending order, so the first size that succeeds is the minimum.
+    The witness is then fixed one member at a time, each the lowest vertex
+    that still has a completion of the remaining size above it, which makes
+    it the lexicographically smallest set of that size.  Every branch and
+    every vertex tried costs one budget node.
+    """
+    _guard(G, limits)
+    n, full = G.n, G.full_mask
+    if n == 0:
+        return frozenset()
+    if cap < 1:
+        return None
+    budget = _Budget(limits.max_subsets)
+    reach = _cover_masks(G, q)
+    for v in range(n):
+        budget.spend()
+        if reach[v] == full:
+            return frozenset({v})
+    in_reach = [0] * n
+    for v, m in enumerate(reach):
+        while m:
+            low = m & -m
+            in_reach[low.bit_length() - 1] |= 1 << v
+            m ^= low
+    und = G.undirected_masks
+
+    def completes(cover, allowed, k):
+        """Whether at most k independent vertices of allowed finish cover."""
+        missing = full & ~cover
+        if not missing:
+            return True
+        if k == 0:
+            return False
+        branches = in_reach[(missing & -missing).bit_length() - 1] & allowed
+        while branches:
+            bit = branches & -branches
+            branches ^= bit
+            allowed ^= bit
+            budget.spend()
+            v = bit.bit_length() - 1
+            if completes(cover | reach[v], allowed & ~und[v], k - 1):
+                return True
+        return False
+
+    size = next((k for k in range(2, min(cap, n) + 1) if completes(0, full, k)), None)
+    if size is None:
+        return None
+    members, cover, allowed = [], 0, full
+    for left in range(size - 1, -1, -1):
+        rest = allowed
+        while True:
+            bit = rest & -rest
+            rest ^= bit
+            budget.spend()
+            v = bit.bit_length() - 1
+            above = rest & ~und[v]
+            if completes(cover | reach[v], above, left):
+                break
+        members.append(v)
+        cover |= reach[v]
+        allowed = above
+    return frozenset(members)
+
+
 def q_kernel_at_most(
     G: Digraph, q: int, max_size: int, limits: SolverLimits | None = None
 ) -> VertexSet | None:
-    """Some q-kernel with at most max_size vertices, or None."""
+    """The smallest_q_kernel answer if it has at most max_size vertices, else None."""
     if q < 1:
         raise ValueError("q must be at least 1")
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
-    limits = limits or DEFAULT_LIMITS
-    if G.n == 0:
-        _guard(G, limits)
-        return frozenset()
-    if max_size == 0:
-        return None
-    first = next(_iter_hits(G, q, limits, cap=max_size), None)
-    return None if first is None else _set_of(first)
+    return _smallest(G, q, limits or DEFAULT_LIMITS, max_size)
 
 
 def smallest_q_kernel(
@@ -133,21 +200,9 @@ def smallest_q_kernel(
 ) -> VertexSet | None:
     """Minimum-size q-kernel, lexicographically smallest among ties.
 
-    Iterative deepening on the size cap: the first hit at cap k appears only
-    after caps below k came up empty, so it has size exactly k and is the
-    lexicographically smallest hit of that size.  None is possible only for
-    q=1, where kernels may not exist.
+    None is possible only for q=1, where kernels may not exist.
     """
-    limits = limits or DEFAULT_LIMITS
-    _guard(G, limits)
-    if G.n == 0:
-        return frozenset()
-    budget = _Budget(limits.max_subsets)
-    for k in range(1, G.n + 1):
-        hit = next(_iter_hits(G, q, limits, cap=k, budget=budget), None)
-        if hit is not None:
-            return _set_of(hit)
-    return None
+    return _smallest(G, q, limits or DEFAULT_LIMITS, G.n)
 
 
 def has_two_disjoint_qks(
@@ -174,7 +229,7 @@ def is_kernel_perfect(G: Digraph, limits: SolverLimits | None = None):
     for size in range(1, G.n + 1):
         for combo in combinations(range(G.n), size):
             H, _ = induced(G, combo)
-            if next(_hit_masks(H, 1, budget, None), None) is None:
+            if next(_hit_masks(H, 1, budget), None) is None:
                 return False, frozenset(combo)
     return True, None
 

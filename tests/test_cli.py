@@ -294,6 +294,13 @@ class TestCheck:
                      "--mode", "kernel"]) == 1
         assert "fails: witness vertex" in capsys.readouterr().out
 
+    def test_fails_with_arc_witness(self, tmp_path, capsys):
+        path = tmp_path / "pair.txt"
+        path.write_text("2 2\n0 1\n1 0\n")
+        assert main(["check", "--graph", str(path), "--set", "0,1",
+                     "--mode", "qk"]) == 1
+        assert "fails: witness arc (0, 1)" in capsys.readouterr().out
+
     def test_q_kernel_mode(self, c5_file):
         assert main(["check", "--graph", c5_file, "--set", "0",
                      "--mode", "q-kernel", "--q", "4"]) == 0

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from quasikernel.digraph import Digraph, is_q_kernel
 from quasikernel.errors import ResourceLimitError
-from quasikernel.generators import enumerate_all_digraphs, gen_cycle, gen_tight_hairy
+from quasikernel.generators import (
+    enumerate_all_digraphs,
+    gen_cycle,
+    gen_random_digraph,
+    gen_tight_hairy,
+)
+from quasikernel.rng import SplitMix64
 from quasikernel.solver import (
     DEFAULT_LIMITS,
     SolverLimits,
@@ -121,6 +127,22 @@ class TestSmallest:
         with pytest.raises(ValueError):
             q_kernel_at_most(C4, 2, -1)
 
+    def test_matches_enumeration(self):
+        # enumeration keeps the ascending-order DFS, an independent reference
+        rng = SplitMix64(2024)
+        for _ in range(400):
+            n = 2 + rng.next_below(11)
+            p = 0.1 + 0.8 * rng.next_float()
+            G = gen_random_digraph(n, p, True, rng.next_u64())
+            for q in (1, 2, 3):
+                qks = enumerate_q_kernels(G, q)
+                best = qks[0] if qks else None
+                assert smallest_q_kernel(G, q) == best, (G.arcs, q)
+                k_min = len(best) if best is not None else n + 1
+                for k in range(n + 1):
+                    got = q_kernel_at_most(G, q, k)
+                    assert (got is None) == (k < k_min), (G.arcs, q, k)
+
 
 class TestDisjointPairs:
     def test_examples(self):
@@ -158,11 +180,20 @@ class TestLimits:
             enumerate_q_kernels(C4, 2, limits)
         with pytest.raises(ResourceLimitError):
             smallest_q_kernel(C4, 2, limits)
+        for size in (0, 1):
+            with pytest.raises(ResourceLimitError, match="n=30 exceeds max_n=24"):
+                q_kernel_at_most(gen_cycle(30), 2, size)
 
     def test_subset_budget(self):
         limits = SolverLimits(max_subsets=2)
         with pytest.raises(ResourceLimitError, match="budget exhausted"):
             enumerate_q_kernels(gen_cycle(6), 2, limits)
+
+    def test_sparse_search_stays_within_budget(self):
+        # an ascending-order search over independent sets needs about 3.97M nodes here
+        G = gen_random_digraph(56, 0.05, True, 392)
+        limits = SolverLimits(max_n=64, max_subsets=1_000_000)
+        assert sorted(smallest_q_kernel(G, 2, limits)) == [2, 3, 4, 13, 21, 45, 46, 47]
 
     def test_generous_budget_is_enough(self):
         limits = SolverLimits(max_subsets=10_000)
