@@ -9,8 +9,12 @@ from typing import Mapping
 from .digraph import (
     Digraph,
     VertexSet,
+    _bits,
     _mask_of,
+    _reach,
     _set_of,
+    _tournament_break,
+    _union,
     induced,
     is_kernel,
     is_q_kernel,
@@ -56,15 +60,6 @@ def _finish(G, method, result, intermediates, bound) -> ConstructionTrace:
     return ConstructionTrace(method, frozenset(result), dict(intermediates), bound)
 
 
-def _outs(G: Digraph, mask: int) -> int:
-    m = 0
-    while mask:
-        low = mask & -mask
-        m |= G.out_masks[low.bit_length() - 1]
-        mask ^= low
-    return m
-
-
 def shrink_good_qk(G: Digraph, qk) -> ConstructionTrace:
     """Prune a good quasi-kernel without shrinking its out-neighbourhood.
 
@@ -84,14 +79,12 @@ def shrink_good_qk(G: Digraph, qk) -> ConstructionTrace:
             f"input set is not a quasi-kernel, witness {rep.witness}"
         )
     qk_mask = _mask_of(qk, G.n)
-    out1_mask = _outs(G, qk_mask)
-    out2_mask = _outs(G, out1_mask)
-    stranded = qk_mask & ~out2_mask
+    out1_mask = _union(G.out_masks, qk_mask)
+    stranded = qk_mask & ~_union(G.out_masks, out1_mask)
     if stranded:
-        v = (stranded & -stranded).bit_length() - 1
         raise PreconditionError(
-            f"input set is not good: vertex {v} is not a second out-neighbor "
-            f"of the set"
+            f"input set is not good: vertex {next(_bits(stranded))} is not a "
+            f"second out-neighbor of the set"
         )
     covered = 0
     keep = []
@@ -111,15 +104,12 @@ def _prune_cover(G: Digraph, cands: int, targets: int) -> int:
 
     Deletions are attempted in ascending vertex order.
     """
-    if targets & ~_outs(G, cands):
+    if targets & ~_union(G.out_masks, cands):
         raise VerificationError("cover targets escape the candidate set")
     keep = cands
-    rest = cands
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        trial = keep & ~low
-        if not targets & ~_outs(G, trial):
+    for v in _bits(cands):
+        trial = keep & ~(1 << v)
+        if not targets & ~_union(G.out_masks, trial):
             keep = trial
     return keep
 
@@ -145,7 +135,7 @@ def small_qk_from_kernel_complement(G: Digraph, qk, kernel) -> ConstructionTrace
         )
     n = G.n
     a_mask = _mask_of(A, n)
-    b_mask = _outs(G, a_mask)
+    b_mask = _union(G.out_masks, a_mask)
     c_mask = G.full_mask & ~(a_mask | b_mask)
     k_mask = _mask_of(K, n)
     if k_mask & ~c_mask:
@@ -161,10 +151,11 @@ def small_qk_from_kernel_complement(G: Digraph, qk, kernel) -> ConstructionTrace
             f"input kernel is not a kernel of the uncovered part, witness "
             f"{krep.witness} (relabelled)"
         )
-    d_mask = a_mask & _outs(G, k_mask)
-    j_mask = _outs(G, d_mask) & b_mask
-    f_mask = (_outs(G, j_mask) & a_mask) & ~d_mask
-    h_mask = (_outs(G, f_mask) & b_mask) & ~j_mask
+    out = G.out_masks
+    d_mask = a_mask & _union(out, k_mask)
+    j_mask = _union(out, d_mask) & b_mask
+    f_mask = (_union(out, j_mask) & a_mask) & ~d_mask
+    h_mask = (_union(out, f_mask) & b_mask) & ~j_mask
     bp_mask = b_mask & ~(j_mask | h_mask)
     ap_mask = _prune_cover(G, a_mask & ~(d_mask | f_mask), bp_mask)
     f2_mask = _prune_cover(G, f_mask, h_mask)
@@ -249,15 +240,9 @@ class HairyPartition:
         if A | I != frozenset(range(G.n)):
             off = sorted((A | I) ^ frozenset(range(G.n)))
             raise PreconditionError(f"parts do not partition V, mismatch {off}")
-        alist = sorted(A)
-        for i, u in enumerate(alist):
-            for v in alist[i + 1 :]:
-                fwd = (G.out_masks[u] >> v) & 1
-                back = (G.out_masks[v] >> u) & 1
-                if fwd + back != 1:
-                    raise PreconditionError(
-                        f"tournament part breaks at pair ({u}, {v})"
-                    )
+        pair = _tournament_break(G, sorted(A))
+        if pair is not None:
+            raise PreconditionError(f"tournament part breaks at pair {pair}")
         if set(self.owner) != set(I):
             raise PreconditionError("owner map keys must be exactly the hairs")
         a_mask = _mask_of(A, G.n)
@@ -302,16 +287,10 @@ def _blown_up_degrees(G: Digraph, partition: HairyPartition) -> dict[int, int]:
     for a in partition.owner.values():
         block[a] += 1
     a_mask = _mask_of(partition.tournament_part, G.n)
-    degs = {}
-    for a in A:
-        deg = block[a] - 1
-        rest = G.out_masks[a] & a_mask
-        while rest:
-            low = rest & -rest
-            deg += block[low.bit_length() - 1]
-            rest ^= low
-        degs[a] = deg
-    return degs
+    return {
+        a: block[a] - 1 + sum(block[b] for b in _bits(G.out_masks[a] & a_mask))
+        for a in A
+    }
 
 
 def hairy_small_qk(
@@ -331,21 +310,14 @@ def hairy_small_qk(
     if not partition.tournament_part:
         raise PreconditionError("tournament part is empty")
     degs = _blown_up_degrees(G, partition)
-    best = -1
-    king = -1
-    for a in sorted(partition.tournament_part):
-        if degs[a] > best:
-            best, king = degs[a], a
+    king = max(sorted(degs), key=degs.__getitem__)
     hairs_of = {a: [] for a in partition.tournament_part}
     for h in sorted(partition.hair_part):
         hairs_of[partition.owner[h]].append(h)
     a_mask = _mask_of(partition.tournament_part, G.n)
     q_mask = 1 << king
-    ins = G.in_masks[king] & a_mask
-    while ins:
-        low = ins & -ins
-        ins ^= low
-        for h in hairs_of[low.bit_length() - 1]:
+    for a in _bits(G.in_masks[king] & a_mask):
+        for h in hairs_of[a]:
             q_mask |= 1 << h
     q_mask &= ~G.out_masks[king]
     inter = {
@@ -354,6 +326,11 @@ def hairy_small_qk(
         "king": frozenset({king}),
     }
     return _finish(G, "hairy", _set_of(q_mask), inter, Fraction(G.n, 2))
+
+
+def _max_out_degree_vertex(G: Digraph) -> int:
+    """Lowest-index vertex of maximum out-degree; G must have a vertex."""
+    return max(range(G.n), key=lambda v: len(G.out_adj[v]))
 
 
 def find_king(G: Digraph) -> int:
@@ -366,11 +343,7 @@ def find_king(G: Digraph) -> int:
         raise PreconditionError("graph is not a tournament")
     if G.n == 0:
         raise PreconditionError("empty tournament has no king")
-    best, king = -1, -1
-    for v in range(G.n):
-        d = len(G.out_adj[v])
-        if d > best:
-            best, king = d, v
+    king = _max_out_degree_vertex(G)
     if G.closed2_masks[king] != G.full_mask:
         raise VerificationError(
             f"vertex {king} does not reach every vertex within two steps"
@@ -389,24 +362,15 @@ def _validate_unicyclic(G: Digraph) -> list[int]:
     for u in range(n):
         anti = G.out_masks[u] & G.in_masks[u]
         if anti:
-            v = (anti & -anti).bit_length() - 1
             raise StructureError(
-                f"anti-parallel pair ({u}, {v}) is not an edge orientation"
+                f"anti-parallel pair ({u}, {next(_bits(anti))}) is not an edge "
+                f"orientation"
             )
-    seen = 1
-    frontier = 1
-    und = G.undirected_masks
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        add = und[low.bit_length() - 1] & ~seen
-        seen |= add
-        frontier |= add
-    if seen != G.full_mask:
-        left = G.full_mask & ~seen
-        v = (left & -left).bit_length() - 1
+    left = G.full_mask & ~_reach(G.undirected_masks, 1, n)
+    if left:
         raise StructureError(
-            f"underlying graph is disconnected, vertex {v} unreachable from 0"
+            f"underlying graph is disconnected, vertex {next(_bits(left))} "
+            f"unreachable from 0"
         )
     if G.m < n:
         raise StructureError("underlying graph is acyclic (a tree)")

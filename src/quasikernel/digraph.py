@@ -39,7 +39,6 @@ class Digraph:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"n must be a non-negative int, got {n!r}")
         out_sets: list[set[int]] = [set() for _ in range(n)]
-        in_sets: list[set[int]] = [set() for _ in range(n)]
         for arc in arcs:
             u, v = arc
             _check_vertex(u, n)
@@ -49,27 +48,24 @@ class Digraph:
             if v in out_sets[u]:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             out_sets[u].add(v)
-            in_sets[v].add(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(
-            self, "out_adj", tuple(tuple(sorted(s)) for s in out_sets)
-        )
-        object.__setattr__(
-            self, "in_adj", tuple(tuple(sorted(s)) for s in in_sets)
-        )
+        self._fill(n, [sorted(s) for s in out_sets])
 
     @classmethod
     def _trusted(cls, n: int, out_lists: list[list[int]]) -> "Digraph":
         """Build without validation; out_lists must be sorted, loop- and dup-free."""
         g = object.__new__(cls)
+        g._fill(n, out_lists)
+        return g
+
+    def _fill(self, n: int, out_lists: list[list[int]]) -> None:
+        # u runs in ascending order, so every in-list comes out sorted
         in_lists: list[list[int]] = [[] for _ in range(n)]
         for u, outs in enumerate(out_lists):
             for v in outs:
                 in_lists[v].append(u)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "out_adj", tuple(tuple(o) for o in out_lists))
-        object.__setattr__(g, "in_adj", tuple(tuple(sorted(i)) for i in in_lists))
-        return g
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "out_adj", tuple(tuple(o) for o in out_lists))
+        object.__setattr__(self, "in_adj", tuple(tuple(i) for i in in_lists))
 
     @property
     def m(self) -> int:
@@ -143,22 +139,39 @@ class Digraph:
         """Per-vertex closed q-step out-reachability masks."""
         if q < 0:
             raise ValueError("q must be non-negative")
-        masks = [1 << u for u in range(self.n)]
-        out = self.out_masks
-        for _ in range(q):
-            nxt = []
-            for u in range(self.n):
-                m = masks[u]
-                frontier = m
-                while frontier:
-                    low = frontier & -frontier
-                    m |= out[low.bit_length() - 1]
-                    frontier ^= low
-                nxt.append(m)
-            if nxt == masks:
-                break
-            masks = nxt
-        return tuple(masks)
+        if q == 1:
+            return self.closed1_masks
+        if q == 2:
+            return self.closed2_masks
+        return tuple(_reach(self.out_masks, 1 << u, q) for u in range(self.n))
+
+
+def _bits(mask: int):
+    """Indices of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _union(masks, mask: int) -> int:
+    """OR of masks[v] over the set bits v of mask."""
+    m = 0
+    for v in _bits(mask):
+        m |= masks[v]
+    return m
+
+
+def _reach(step, mask: int, q: int) -> int:
+    """mask plus up to q rounds of _union(step, .), stopping at a fixpoint."""
+    if q < 0:
+        raise ValueError("q must be non-negative")
+    for _ in range(q):
+        nxt = mask | _union(step, mask)
+        if nxt == mask:
+            break
+        mask = nxt
+    return mask
 
 
 def _mask_of(S: Iterable[int], n: int) -> int:
@@ -170,12 +183,7 @@ def _mask_of(S: Iterable[int], n: int) -> int:
 
 
 def _set_of(mask: int) -> VertexSet:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+    return frozenset(_bits(mask))
 
 
 @dataclass(frozen=True)
@@ -201,47 +209,17 @@ class CheckReport:
 
 def out_neighbors(G: Digraph, S: Iterable[int]) -> VertexSet:
     """Union of out-neighbourhoods of the vertices in S."""
-    m = 0
-    for v in S:
-        _check_vertex(v, G.n)
-        m |= G.out_masks[v]
-    return _set_of(m)
+    return _set_of(_union(G.out_masks, _mask_of(S, G.n)))
 
 
 def closed_out(G: Digraph, S: Iterable[int], q: int = 1) -> VertexSet:
     """Vertices reachable from S in at most q steps (S itself included)."""
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    mask = _mask_of(S, G.n)
-    out = G.out_masks
-    for _ in range(q):
-        prev = mask
-        frontier = mask
-        while frontier:
-            low = frontier & -frontier
-            mask |= out[low.bit_length() - 1]
-            frontier ^= low
-        if mask == prev:
-            break
-    return _set_of(mask)
+    return _set_of(_reach(G.out_masks, _mask_of(S, G.n), q))
 
 
 def closed_in(G: Digraph, S: Iterable[int], q: int = 1) -> VertexSet:
     """Vertices that reach S in at most q steps (S itself included)."""
-    if q < 0:
-        raise ValueError("q must be non-negative")
-    mask = _mask_of(S, G.n)
-    inn = G.in_masks
-    for _ in range(q):
-        prev = mask
-        frontier = mask
-        while frontier:
-            low = frontier & -frontier
-            mask |= inn[low.bit_length() - 1]
-            frontier ^= low
-        if mask == prev:
-            break
-    return _set_of(mask)
+    return _set_of(_reach(G.in_masks, _mask_of(S, G.n), q))
 
 
 def sources(G: Digraph) -> VertexSet:
@@ -252,43 +230,23 @@ def sources(G: Digraph) -> VertexSet:
 def is_independent(G: Digraph, S: Iterable[int]) -> CheckReport:
     """No arc joins two vertices of S, in either direction."""
     mask = _mask_of(S, G.n)
-    rest = mask
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
+    for u in _bits(mask):
         hit = G.out_masks[u] & mask
         if hit:
-            v = (hit & -hit).bit_length() - 1
-            return CheckReport(False, (u, v))
-        rest ^= low
+            return CheckReport(False, (u, next(_bits(hit))))
     return CheckReport(True)
 
 
 def _covers(G: Digraph, S: Iterable[int], q: int) -> CheckReport:
-    masks = G.closed1_masks if q == 1 else G.closed2_masks if q == 2 else None
-    mask = 0
-    if masks is None:
-        reach = G.reach_masks(q)
-        for v in S:
-            _check_vertex(v, G.n)
-            mask |= reach[v]
-    else:
-        for v in S:
-            _check_vertex(v, G.n)
-            mask |= masks[v]
-    missing = G.full_mask & ~mask
+    missing = G.full_mask & ~_union(G.reach_masks(q), _mask_of(S, G.n))
     if missing:
-        return CheckReport(False, (missing & -missing).bit_length() - 1)
+        return CheckReport(False, next(_bits(missing)))
     return CheckReport(True)
 
 
 def is_kernel(G: Digraph, S: Iterable[int]) -> CheckReport:
     """Independent set whose closed out-neighbourhood is all of V."""
-    S = frozenset(S)
-    ind = is_independent(G, S)
-    if not ind:
-        return ind
-    return _covers(G, S, 1)
+    return is_q_kernel(G, S, 1)
 
 
 def is_q_kernel(G: Digraph, S: Iterable[int], q: int = 2) -> CheckReport:
@@ -311,19 +269,7 @@ def is_quasi_sink(G: Digraph, S: Iterable[int]) -> CheckReport:
     ind = is_independent(G, S)
     if not ind:
         return ind
-    mask = 0
-    # closed 2-step in-neighbourhood, via the transpose masks
-    inn = G.in_masks
-    for v in S:
-        _check_vertex(v, G.n)
-        m = (1 << v) | inn[v]
-        for u in G.in_adj[v]:
-            m |= inn[u]
-        mask |= m
-    missing = G.full_mask & ~mask
-    if missing:
-        return CheckReport(False, (missing & -missing).bit_length() - 1)
-    return CheckReport(True)
+    return _covers(transpose(G), S, 2)
 
 
 def is_large_qk(G: Digraph, S: Iterable[int]) -> CheckReport:
@@ -332,29 +278,29 @@ def is_large_qk(G: Digraph, S: Iterable[int]) -> CheckReport:
     qk = is_q_kernel(G, S, 2)
     if not qk:
         return qk
-    mask = 0
-    for v in S:
-        mask |= G.closed1_masks[v]
+    mask = _union(G.closed1_masks, _mask_of(S, G.n))
     if 2 * mask.bit_count() >= G.n:
         return CheckReport(True)
-    outside = G.full_mask & ~mask
-    return CheckReport(False, (outside & -outside).bit_length() - 1)
+    return CheckReport(False, next(_bits(G.full_mask & ~mask)))
+
+
+def _tournament_break(G: Digraph, verts) -> tuple[int, int] | None:
+    """First pair u < v of the sorted verts without exactly one arc between them."""
+    for i, u in enumerate(verts):
+        for v in verts[i + 1 :]:
+            if ((G.out_masks[u] >> v) & 1) + ((G.out_masks[v] >> u) & 1) != 1:
+                return u, v
+    return None
 
 
 def is_tournament(G: Digraph) -> bool:
     """Exactly one arc between every unordered vertex pair."""
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            fwd = (G.out_masks[u] >> v) & 1
-            back = (G.out_masks[v] >> u) & 1
-            if fwd + back != 1:
-                return False
-    return True
+    return _tournament_break(G, range(G.n)) is None
 
 
 def induced(G: Digraph, S: Iterable[int]) -> tuple[Digraph, dict[int, int]]:
     """Induced subgraph on S, plus the old->new vertex relabelling."""
-    verts = sorted(_set_of(_mask_of(S, G.n)))
+    verts = list(_bits(_mask_of(S, G.n)))
     relabel = {v: i for i, v in enumerate(verts)}
     out_lists = []
     for v in verts:

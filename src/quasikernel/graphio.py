@@ -30,8 +30,7 @@ def parse_graph(text: str) -> Digraph:
         raise GraphFormatError(
             f"expected {m} arc lines, found {len(body)}", lineno
         )
-    arcs: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
+    out_sets: list[set[int]] = [set() for _ in range(n)]
     for lineno, parts in body:
         if len(parts) != 2:
             raise GraphFormatError("arc line must be two integers `u v`", lineno)
@@ -45,11 +44,10 @@ def parse_graph(text: str) -> Digraph:
             )
         if u == v:
             raise GraphFormatError(f"loop at vertex {u}", lineno)
-        if (u, v) in seen:
+        if v in out_sets[u]:
             raise GraphFormatError(f"duplicate arc ({u}, {v})", lineno)
-        seen.add((u, v))
-        arcs.append((u, v))
-    return Digraph(n, arcs)
+        out_sets[u].add(v)
+    return Digraph._trusted(n, [sorted(s) for s in out_sets])
 
 
 def format_graph(G: Digraph) -> str:

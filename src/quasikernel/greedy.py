@@ -18,6 +18,8 @@ class Ordering:
     def __post_init__(self):
         perm = tuple(self.perm)
         object.__setattr__(self, "perm", perm)
+        if any(not isinstance(v, int) or isinstance(v, bool) for v in perm):
+            raise ValueError(f"perm entries must be ints, got {perm!r}")
         if sorted(perm) != list(range(len(perm))):
             raise ValueError("perm must be a permutation of 0..n-1")
 

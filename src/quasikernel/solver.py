@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .digraph import Digraph, VertexSet, _set_of, induced, out_neighbors, sources
+from .digraph import Digraph, VertexSet, _bits, _set_of, induced, out_neighbors, sources
 from .errors import ResourceLimitError
 
 
@@ -44,14 +44,6 @@ def _guard(G: Digraph, limits: SolverLimits):
         raise ResourceLimitError(f"n={G.n} exceeds max_n={limits.max_n}")
 
 
-def _cover_masks(G: Digraph, q: int):
-    if q == 1:
-        return G.closed1_masks
-    if q == 2:
-        return G.closed2_masks
-    return G.reach_masks(q)
-
-
 def _hit_masks(G: Digraph, q: int, budget: _Budget):
     """Yield masks of independent sets whose q-step closure covers V.
 
@@ -64,7 +56,7 @@ def _hit_masks(G: Digraph, q: int, budget: _Budget):
         yield 0
         return
     n = G.n
-    reach = _cover_masks(G, q)
+    reach = G.reach_masks(q)
     und = G.undirected_masks
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
@@ -133,19 +125,19 @@ def _smallest(
     if cap < 1:
         return None
     budget = _Budget(limits.max_subsets)
-    reach = _cover_masks(G, q)
+    reach = G.reach_masks(q)
     for v in range(n):
         budget.spend()
         if reach[v] == full:
             return frozenset({v})
     in_reach = [0] * n
     for v, m in enumerate(reach):
-        while m:
-            low = m & -m
-            in_reach[low.bit_length() - 1] |= 1 << v
-            m ^= low
+        for u in _bits(m):
+            in_reach[u] |= 1 << v
     und = G.undirected_masks
 
+    # The branch loop here and the witness loop below walk their masks by
+    # hand: through _bits the sparse n = 28/32 solves ran about 40% slower.
     def completes(cover, allowed, k):
         """Whether at most k independent vertices of allowed finish cover."""
         missing = full & ~cover

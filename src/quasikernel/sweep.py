@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
+from .construct import _max_out_degree_vertex
 from .digraph import (
     CheckReport,
     Digraph,
@@ -193,11 +194,7 @@ def _applies_tournament(G, limits):
 
 
 def _check_max_degree_king(G, limits):
-    best, king = -1, -1
-    for v in range(G.n):
-        d = len(G.out_adj[v])
-        if d > best:
-            best, king = d, v
+    king = _max_out_degree_vertex(G)
     rep = is_q_kernel(G, frozenset({king}), 2)
     if rep:
         return True, None

@@ -41,6 +41,15 @@ C4 = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 PAIR = Digraph(2, [(0, 1), (1, 0)])
 
 
+def expected_report(G, S, covered):
+    """The smallest arc inside S, else the lowest vertex outside covered."""
+    inside = sorted((u, v) for u in S for v in G.out_adj[u] if v in S)
+    if inside:
+        return CheckReport(False, inside[0])
+    missing = set(range(G.n)) - covered
+    return CheckReport(False, min(missing)) if missing else CheckReport(True)
+
+
 class TestConstruction:
     def test_adjacency_is_sorted_and_mirrored(self):
         G = Digraph(4, [(2, 0), (2, 3), (2, 1), (0, 2)])
@@ -107,6 +116,8 @@ class TestMasks:
     def test_reach_masks_rejects_negative(self):
         with pytest.raises(ValueError):
             C3.reach_masks(-1)
+        with pytest.raises(ValueError):
+            Digraph(0).reach_masks(-1)
 
 
 class TestCheckReport:
@@ -142,6 +153,8 @@ class TestNeighborhoods:
     def test_closed_out_matches_oracle(self, G, q, data):
         S = data.draw(st.sets(st.integers(0, max(G.n - 1, 0)), max_size=G.n)) if G.n else set()
         assert closed_out(G, S, q) == set_reach(G, S, q) | set(S)
+        assert closed_in(G, S, q) == closed_out(transpose(G), S, q)
+        assert out_neighbors(G, S) == {v for u in S for v in G.out_adj[u]}
 
     def test_rejects_out_of_range_vertices(self):
         with pytest.raises(VertexRangeError):
@@ -202,6 +215,23 @@ class TestPredicates:
     def test_quasi_sink_matches_transpose(self, G, data):
         S = data.draw(st.sets(st.integers(0, max(G.n - 1, 0)), max_size=G.n)) if G.n else set()
         assert bool(is_quasi_sink(G, S)) == bool(is_q_kernel(transpose(G), S, 2))
+
+    @settings(max_examples=80)
+    @given(digraphs(max_n=6), st.data())
+    def test_reports_name_the_oracle_witness(self, G, data):
+        S = data.draw(st.sets(st.integers(0, max(G.n - 1, 0)), max_size=G.n)) if G.n else set()
+        V = set(range(G.n))
+        assert is_independent(G, S) == expected_report(G, S, V)
+        assert is_kernel(G, S) == expected_report(G, S, set_reach(G, S, 1))
+        for q in (1, 2, 3):
+            assert is_q_kernel(G, S, q) == expected_report(G, S, set_reach(G, S, q))
+        reaching = {u for u in V if reach_within(G, u, 2) & S}
+        assert is_quasi_sink(G, S) == expected_report(G, S, reaching)
+        large = expected_report(G, S, set_reach(G, S, 2))
+        one_step = set_reach(G, S, 1)
+        if large and 2 * len(one_step) < G.n:
+            large = CheckReport(False, min(V - one_step))
+        assert is_large_qk(G, S) == large
 
     def test_is_large_qk(self):
         assert is_large_qk(C4, {0, 2})

@@ -47,6 +47,45 @@ def test_round_trip_random(n, data):
     assert parse_graph(format_graph(G)) == G
 
 
+_NOISE = st.one_of(
+    st.integers(-3, 12).map(str), st.sampled_from(["", "x", "1.5", "0x1", "+2", "007", "#"])
+)
+_FILLER = st.lists(st.sampled_from(["", "   ", "# note", "#0 1", "  # 3 3"]), max_size=2)
+
+
+@st.composite
+def graph_texts(draw):
+    """A count line and arc lines between comments and blanks, with token noise."""
+
+    def line(*tokens):
+        # each token is swapped for noise one time in sixteen
+        return " ".join(draw(_NOISE) if draw(st.integers(0, 15)) == 0 else str(t)
+                        for t in tokens)
+
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    lines = draw(_FILLER) + [line(n, m)]
+    for _ in range(m):
+        # loops come from n = 1 and from noise
+        u, shift = draw(st.integers(0, max(n - 1, 0))), draw(st.integers(1, max(n - 1, 1)))
+        lines += draw(_FILLER) + [line(u, (u + shift) % max(n, 1))]
+    return "\n".join(lines + draw(_FILLER))
+
+
+@settings(max_examples=300)
+@given(graph_texts())
+def test_parse_fuzz_matches_constructor(text):
+    # parse_graph builds without re-validating, so its own checks must
+    # reject everything the constructor would
+    try:
+        G = parse_graph(text)
+    except GraphFormatError:
+        return
+    rows = [line.split() for line in text.splitlines()
+            if line.strip() and not line.strip().startswith("#")]
+    H = Digraph(int(rows[0][0]), [(int(u), int(v)) for u, v in rows[1:]])
+    assert G == H and G.in_adj == H.in_adj
+
+
 @pytest.mark.parametrize(
     "text,fragment",
     [

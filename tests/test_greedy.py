@@ -36,6 +36,8 @@ class TestOrdering:
             Ordering((0, 0, 1))
         with pytest.raises(ValueError):
             Ordering((1, 2))
+        with pytest.raises(ValueError):
+            Ordering((1.0, 0.0))
 
     def test_shuffled_is_deterministic(self):
         a = Ordering.shuffled(8, 7)

@@ -29,7 +29,7 @@ from quasikernel.solver import (
 )
 
 from oracles import brute_is_kernel_perfect, brute_q_kernels, brute_smallest
-from strategies import digraphs
+from strategies import digraphs, source_free_digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C4 = gen_cycle(4)
@@ -142,6 +142,26 @@ class TestSmallest:
                 for k in range(n + 1):
                     got = q_kernel_at_most(G, q, k)
                     assert (got is None) == (k < k_min), (G.arcs, q, k)
+
+
+class TestRelabelling:
+    @settings(max_examples=60, deadline=None)
+    @given(source_free_digraphs(max_n=7), st.data())
+    def test_answers_unchanged_under_relabelling(self, G, data):
+        perm = data.draw(st.permutations(range(G.n)))
+        H = Digraph(G.n, [(perm[u], perm[v]) for u, v in G.arcs])
+        S = data.draw(st.sets(st.integers(0, G.n - 1), max_size=G.n))
+
+        def image(T):
+            return frozenset(perm[v] for v in T)
+
+        for q in (1, 2, 3):
+            assert bool(is_q_kernel(G, S, q)) == bool(is_q_kernel(H, image(S), q))
+            small, moved = smallest_q_kernel(G, q), smallest_q_kernel(H, q)
+            assert (small is None) == (moved is None)
+            assert small is None or len(small) == len(moved)
+            qks = {image(K) for K in enumerate_q_kernels(G, q)}
+            assert qks == set(enumerate_q_kernels(H, q))
 
 
 class TestDisjointPairs:
