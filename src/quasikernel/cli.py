@@ -222,34 +222,33 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+# exhaustive sweep families: enumerator, default n and states per vertex pair;
+# sizes above the default get a note on how many graphs they walk
+_EXHAUSTIVE = {
+    "all-digraphs": (enumerate_all_digraphs, 4, 4),
+    "all-tournaments": (enumerate_all_tournaments, 6, 2),
+}
+
+
 def _cmd_sweep(args) -> int:
     limits = _limits_from(args)
     seed_info = None
-    if args.family == "all-digraphs":
-        n = args.n if args.n is not None else 4
-        if n >= 5:
-            print(
-                f"note: enumerating all digraphs on {n} vertices walks "
-                f"4^{n * (n - 1) // 2} instances",
-                file=sys.stderr,
-            )
-        family = enumerate_all_digraphs(n)
-        family_desc = f"all-digraphs(n={n})"
-    elif args.family == "all-tournaments":
-        n = args.n if args.n is not None else 6
-        if n >= 7:
-            print(
-                f"note: enumerating all tournaments on {n} vertices walks "
-                f"2^{n * (n - 1) // 2} instances",
-                file=sys.stderr,
-            )
-        family = enumerate_all_tournaments(n)
-        family_desc = f"all-tournaments(n={n})"
-    else:
+    if args.family == "random":
         n = args.n if args.n is not None else 8
         family = random_source_free_family(args.samples, n, args.seed)
         family_desc = f"random(samples={args.samples}, max_n={n})"
         seed_info = f"seed={args.seed}"
+    else:
+        enumerate_family, default_n, states = _EXHAUSTIVE[args.family]
+        n = args.n if args.n is not None else default_n
+        if n > default_n:
+            print(
+                f"note: enumerating {args.family.replace('-', ' ')} on {n} "
+                f"vertices walks {states}^{n * (n - 1) // 2} instances",
+                file=sys.stderr,
+            )
+        family = enumerate_family(n)
+        family_desc = f"{args.family}(n={n})"
     report = run_claim(
         CLAIMS[args.claim],
         family,
@@ -368,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--family",
         required=True,
-        choices=["all-digraphs", "all-tournaments", "random"],
+        choices=[*_EXHAUSTIVE, "random"],
     )
     p_sweep.add_argument("--n", type=int, help="vertex count or max size")
     p_sweep.add_argument("--samples", type=int, default=100)

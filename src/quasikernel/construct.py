@@ -60,6 +60,20 @@ def _finish(G, method, result, intermediates, bound) -> ConstructionTrace:
     return ConstructionTrace(method, frozenset(result), dict(intermediates), bound)
 
 
+def _require_source_free(G: Digraph) -> None:
+    src = sources(G)
+    if src:
+        raise PreconditionError(f"graph has sources {sorted(src)}")
+
+
+def _require_qk(G: Digraph, S) -> None:
+    rep = is_q_kernel(G, S, 2)
+    if not rep:
+        raise PreconditionError(
+            f"input set is not a quasi-kernel, witness {rep.witness}"
+        )
+
+
 def shrink_good_qk(G: Digraph, qk) -> ConstructionTrace:
     """Prune a good quasi-kernel without shrinking its out-neighbourhood.
 
@@ -70,14 +84,8 @@ def shrink_good_qk(G: Digraph, qk) -> ConstructionTrace:
     input or the input's out-neighbourhood, hence at most n/2.
     """
     qk = frozenset(qk)
-    src = sources(G)
-    if src:
-        raise PreconditionError(f"graph has sources {sorted(src)}")
-    rep = is_q_kernel(G, qk, 2)
-    if not rep:
-        raise PreconditionError(
-            f"input set is not a quasi-kernel, witness {rep.witness}"
-        )
+    _require_source_free(G)
+    _require_qk(G, qk)
     qk_mask = _mask_of(qk, G.n)
     out1_mask = _union(G.out_masks, qk_mask)
     stranded = qk_mask & ~_union(G.out_masks, out1_mask)
@@ -125,14 +133,8 @@ def small_qk_from_kernel_complement(G: Digraph, qk, kernel) -> ConstructionTrace
     """
     A = frozenset(qk)
     K = frozenset(kernel)
-    src = sources(G)
-    if src:
-        raise PreconditionError(f"graph has sources {sorted(src)}")
-    rep = is_q_kernel(G, A, 2)
-    if not rep:
-        raise PreconditionError(
-            f"input set is not a quasi-kernel, witness {rep.witness}"
-        )
+    _require_source_free(G)
+    _require_qk(G, A)
     n = G.n
     a_mask = _mask_of(A, n)
     b_mask = _union(G.out_masks, a_mask)
@@ -303,9 +305,7 @@ def hairy_small_qk(
     the result: the king plus the hairs owned by its in-neighbors, minus
     anything the king beats directly.
     """
-    src = sources(G)
-    if src:
-        raise PreconditionError(f"graph has sources {sorted(src)}")
+    _require_source_free(G)
     partition.validate(G, relaxed)
     if not partition.tournament_part:
         raise PreconditionError("tournament part is empty")

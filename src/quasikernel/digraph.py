@@ -95,23 +95,11 @@ class Digraph:
 
     @cached_property
     def out_masks(self) -> tuple[int, ...]:
-        masks = []
-        for u in range(self.n):
-            m = 0
-            for v in self.out_adj[u]:
-                m |= 1 << v
-            masks.append(m)
-        return tuple(masks)
+        return _adj_masks(self.out_adj)
 
     @cached_property
     def in_masks(self) -> tuple[int, ...]:
-        masks = []
-        for u in range(self.n):
-            m = 0
-            for v in self.in_adj[u]:
-                m |= 1 << v
-            masks.append(m)
-        return tuple(masks)
+        return _adj_masks(self.in_adj)
 
     @cached_property
     def closed1_masks(self) -> tuple[int, ...]:
@@ -144,6 +132,17 @@ class Digraph:
         if q == 2:
             return self.closed2_masks
         return tuple(_reach(self.out_masks, 1 << u, q) for u in range(self.n))
+
+
+def _adj_masks(adj) -> tuple[int, ...]:
+    """One bitmask per adjacency tuple."""
+    masks = []
+    for nbrs in adj:
+        m = 0
+        for v in nbrs:
+            m |= 1 << v
+        masks.append(m)
+    return tuple(masks)
 
 
 def _bits(mask: int):
@@ -227,9 +226,7 @@ def sources(G: Digraph) -> VertexSet:
     return frozenset(v for v in range(G.n) if not G.in_adj[v])
 
 
-def is_independent(G: Digraph, S: Iterable[int]) -> CheckReport:
-    """No arc joins two vertices of S, in either direction."""
-    mask = _mask_of(S, G.n)
+def _independent(G: Digraph, mask: int) -> CheckReport:
     for u in _bits(mask):
         hit = G.out_masks[u] & mask
         if hit:
@@ -237,11 +234,18 @@ def is_independent(G: Digraph, S: Iterable[int]) -> CheckReport:
     return CheckReport(True)
 
 
-def _covers(G: Digraph, S: Iterable[int], q: int) -> CheckReport:
-    missing = G.full_mask & ~_union(G.reach_masks(q), _mask_of(S, G.n))
-    if missing:
+def _q_kernel(G: Digraph, mask: int, covered: int) -> CheckReport:
+    """Independent, then covered: no arc inside mask, and covered is all of V."""
+    rep = _independent(G, mask)
+    missing = G.full_mask & ~covered
+    if rep and missing:
         return CheckReport(False, next(_bits(missing)))
-    return CheckReport(True)
+    return rep
+
+
+def is_independent(G: Digraph, S: Iterable[int]) -> CheckReport:
+    """No arc joins two vertices of S, in either direction."""
+    return _independent(G, _mask_of(S, G.n))
 
 
 def is_kernel(G: Digraph, S: Iterable[int]) -> CheckReport:
@@ -256,32 +260,26 @@ def is_q_kernel(G: Digraph, S: Iterable[int], q: int = 2) -> CheckReport:
     """
     if q < 1:
         raise ValueError("q must be at least 1")
-    S = frozenset(S)
-    ind = is_independent(G, S)
-    if not ind:
-        return ind
-    return _covers(G, S, q)
+    mask = _mask_of(S, G.n)
+    return _q_kernel(G, mask, _union(G.reach_masks(q), mask))
 
 
 def is_quasi_sink(G: Digraph, S: Iterable[int]) -> CheckReport:
     """Quasi-kernel of the transpose: every vertex reaches S within 2 steps."""
-    S = frozenset(S)
-    ind = is_independent(G, S)
-    if not ind:
-        return ind
-    return _covers(transpose(G), S, 2)
+    mask = _mask_of(S, G.n)
+    return _q_kernel(G, mask, _reach(G.in_masks, mask, 2))
 
 
 def is_large_qk(G: Digraph, S: Iterable[int]) -> CheckReport:
     """Quasi-kernel whose closed out-neighbourhood spans at least half of V."""
-    S = frozenset(S)
-    qk = is_q_kernel(G, S, 2)
+    mask = _mask_of(S, G.n)
+    qk = _q_kernel(G, mask, _union(G.closed2_masks, mask))
     if not qk:
         return qk
-    mask = _union(G.closed1_masks, _mask_of(S, G.n))
-    if 2 * mask.bit_count() >= G.n:
-        return CheckReport(True)
-    return CheckReport(False, next(_bits(G.full_mask & ~mask)))
+    one_step = _union(G.closed1_masks, mask)
+    if 2 * one_step.bit_count() >= G.n:
+        return qk
+    return CheckReport(False, next(_bits(G.full_mask & ~one_step)))
 
 
 def _tournament_break(G: Digraph, verts) -> tuple[int, int] | None:
@@ -371,31 +369,17 @@ def has_directed_odd_cycle(G: Digraph) -> bool:
     contains an odd directed cycle exactly when its arcs cannot be 2-coloured
     with every arc alternating colours.
     """
-    comp_id = [0] * G.n
-    comps = strongly_connected_components(G)
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_id[v] = i
     colour: dict[int, int] = {}
-    for comp in comps:
+    for comp in strongly_connected_components(G):
         if len(comp) == 1:
             continue
+        inside = _mask_of(comp, G.n)
         start = min(comp)
         colour[start] = 0
         queue = [start]
         while queue:
             v = queue.pop()
-            for w in G.out_adj[v]:
-                if comp_id[w] != comp_id[v]:
-                    continue
-                if w not in colour:
-                    colour[w] = colour[v] ^ 1
-                    queue.append(w)
-                elif colour[w] == colour[v]:
-                    return True
-            for w in G.in_adj[v]:
-                if comp_id[w] != comp_id[v]:
-                    continue
+            for w in _bits(G.undirected_masks[v] & inside):
                 if w not in colour:
                     colour[w] = colour[v] ^ 1
                     queue.append(w)

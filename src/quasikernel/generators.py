@@ -122,15 +122,19 @@ def gen_random_digraph(
     return Digraph(n, sorted(arcs))
 
 
+def _orient_pairs(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
+    """One fair draw per unordered pair, in combinations order; 0 keeps low->high."""
+    return [
+        (u, v) if rng.next_below(2) == 0 else (v, u)
+        for u, v in combinations(range(n), 2)
+    ]
+
+
 def gen_random_tournament(n: int, seed: int) -> Digraph:
     """Uniformly random orientation of every unordered pair."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    rng = SplitMix64(seed)
-    arcs = []
-    for u, v in combinations(range(n), 2):
-        arcs.append((u, v) if rng.next_below(2) == 0 else (v, u))
-    return Digraph(n, arcs)
+    return Digraph(n, _orient_pairs(SplitMix64(seed), n))
 
 
 def gen_random_hairy(
@@ -147,16 +151,8 @@ def gen_random_hairy(
         raise ValueError("max_hairs must be non-negative")
     rng = SplitMix64(seed)
     while True:
-        arcs = []
-        indeg = [0] * m
-        for u, v in combinations(range(m), 2):
-            if rng.next_below(2) == 0:
-                arcs.append((u, v))
-                indeg[v] += 1
-            else:
-                arcs.append((v, u))
-                indeg[u] += 1
-        if all(indeg):
+        arcs = _orient_pairs(rng, m)
+        if len({v for _, v in arcs}) == m:
             break
     owner = {}
     idx = m
@@ -185,6 +181,28 @@ def gen_random_unicyclic(n: int, seed: int) -> tuple[Digraph, tuple[int, ...]]:
     return Digraph(n, arcs), tuple(range(length))
 
 
+def _pair_states(n: int, states: tuple[int, ...]):
+    """Every digraph whose unordered pairs each take one of the given states.
+
+    A state's 1 bit puts in the arc low->high and its 2 bit the arc
+    high->low.  Graphs stream out in counter order with one digit per pair,
+    the first pair least significant, each digit indexing states; the number
+    of states must be a power of two.
+    """
+    width = (len(states) - 1).bit_length()
+    digit = (1 << width) - 1
+    pairs = [(u, v, width * k) for k, (u, v) in enumerate(combinations(range(n), 2))]
+    for code in range(1 << (width * len(pairs))):
+        out_lists: list[list[int]] = [[] for _ in range(n)]
+        for u, v, shift in pairs:
+            state = states[code >> shift & digit]
+            if state & 1:
+                out_lists[u].append(v)
+            if state & 2:
+                out_lists[v].append(u)
+        yield Digraph._trusted(n, out_lists)
+
+
 def enumerate_all_digraphs(n: int):
     """Every loopless digraph on 0..n-1, n at most 5.
 
@@ -196,18 +214,7 @@ def enumerate_all_digraphs(n: int):
         raise ValueError("n must be non-negative")
     if n > 5:
         raise ValueError("exhaustive digraph enumeration is capped at n=5")
-    pairs = list(combinations(range(n), 2))
-    for code in range(4 ** len(pairs)):
-        out_lists: list[list[int]] = [[] for _ in range(n)]
-        rest = code
-        for u, v in pairs:
-            state = rest & 3
-            rest >>= 2
-            if state in (1, 3):
-                out_lists[u].append(v)
-            if state in (2, 3):
-                out_lists[v].append(u)
-        yield Digraph._trusted(n, out_lists)
+    yield from _pair_states(n, (0, 1, 2, 3))
 
 
 def enumerate_all_tournaments(n: int):
@@ -219,14 +226,4 @@ def enumerate_all_tournaments(n: int):
         raise ValueError("n must be non-negative")
     if n > 7:
         raise ValueError("exhaustive tournament enumeration is capped at n=7")
-    pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        out_lists: list[list[int]] = [[] for _ in range(n)]
-        rest = code
-        for u, v in pairs:
-            if rest & 1:
-                out_lists[v].append(u)
-            else:
-                out_lists[u].append(v)
-            rest >>= 1
-        yield Digraph._trusted(n, out_lists)
+    yield from _pair_states(n, (1, 2))

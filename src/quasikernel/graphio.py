@@ -6,23 +6,36 @@ from .digraph import Digraph
 from .errors import GraphFormatError
 
 
+def _two_ints(line: str) -> tuple[int, int] | None:
+    """The two integers of a count or arc line, or None if it holds anything else.
+
+    Integers are ASCII digits with an optional leading '-'.  int() also takes
+    '+', '_' and non-ASCII digits, so lines holding those are refused first.
+    """
+    parts = line.split()
+    if len(parts) != 2 or not line.isascii() or "+" in line or "_" in line:
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:
+        return None
+
+
 def parse_graph(text: str) -> Digraph:
     """Parse the text format; `#` lines are comments, blank lines are skipped."""
-    rows: list[tuple[int, list[str]]] = []
+    rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        rows.append((lineno, stripped.split()))
+        rows.append((lineno, stripped))
     if not rows:
         raise GraphFormatError("missing count line")
     lineno, head = rows[0]
-    if len(head) != 2:
+    counts = _two_ints(head)
+    if counts is None:
         raise GraphFormatError("count line must be two integers `n m`", lineno)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise GraphFormatError("count line must be two integers `n m`", lineno)
+    n, m = counts
     if n < 0 or m < 0:
         raise GraphFormatError("counts must be non-negative", lineno)
     body = rows[1:]
@@ -31,13 +44,11 @@ def parse_graph(text: str) -> Digraph:
             f"expected {m} arc lines, found {len(body)}", lineno
         )
     out_sets: list[set[int]] = [set() for _ in range(n)]
-    for lineno, parts in body:
-        if len(parts) != 2:
+    for lineno, line in body:
+        arc = _two_ints(line)
+        if arc is None:
             raise GraphFormatError("arc line must be two integers `u v`", lineno)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError("arc line must be two integers `u v`", lineno)
+        u, v = arc
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(
                 f"arc ({u}, {v}) out of range for n={n}", lineno

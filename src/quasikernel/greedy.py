@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, VertexSet, _set_of, induced, is_q_kernel, sources
+from .construct import _require_source_free
+from .digraph import Digraph, VertexSet, _mask_of, _set_of, _union, induced, is_q_kernel
 from .errors import PreconditionError, VerificationError
 from .rng import SplitMix64
 
@@ -112,9 +113,7 @@ def modified_cl(G: Digraph, ordering: Ordering) -> VertexSet:
     one, so a single left-to-right pass implements the selection rule.
     """
     _match(G, ordering)
-    src = sources(G)
-    if src:
-        raise PreconditionError(f"graph has sources {sorted(src)}")
+    _require_source_free(G)
     pair = _back_violation(G, ordering)
     if pair is not None:
         i, j = pair
@@ -132,13 +131,10 @@ def modified_cl(G: Digraph, ordering: Ordering) -> VertexSet:
             picks.append(v)
             remaining &= ~closed1[v]
     result = frozenset(picks)
-    cover2 = 0
-    for v in picks:
-        cover2 |= G.closed2_masks[v]
-    if remaining & ~cover2:
-        left = _set_of(remaining & ~cover2)
+    left = remaining & ~_union(G.closed2_masks, _mask_of(picks, G.n))
+    if left:
         raise VerificationError(
-            f"leftover vertices {sorted(left)} escape the 2-step cover"
+            f"leftover vertices {sorted(_set_of(left))} escape the 2-step cover"
         )
     check = is_q_kernel(G, result, 2)
     if not check:

@@ -7,8 +7,9 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from .construct import _max_out_degree_vertex
@@ -305,9 +306,8 @@ def _run_graphs(claim, graphs, limits):
     return instances, passes, skips, aborted, violations
 
 
-def _run_chunk(claim_id, texts, limits):
-    claim = CLAIMS[claim_id]
-    return _run_graphs(claim, (parse_graph(t) for t in texts), limits)
+def _run_chunk(claim, limits, texts):
+    return _run_graphs(claim, map(parse_graph, texts), limits)
 
 
 def run_claim(
@@ -320,68 +320,37 @@ def run_claim(
 ) -> SweepReport:
     """Run one claim over an iterable of graphs and aggregate the outcome.
 
-    With jobs > 1 the family is split over worker processes; violations are
-    sorted by graph text then witness, so sharding never changes the report.
+    With jobs > 1 the family is split over worker processes, which receive
+    the claim itself, so its applies and check functions must be picklable
+    (defined at module level).  Violations are sorted by graph text then
+    witness, so sharding never changes the report.
     """
     limits = limits or DEFAULT_LIMITS
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
     start = time.perf_counter()
     if jobs == 1:
-        instances, passes, skips, aborted, violations = _run_graphs(
-            claim, family, limits
-        )
+        parts = [_run_graphs(claim, family, limits)]
     else:
         texts = [format_graph(G) for G in family]
         step = max(1, -(-len(texts) // (jobs * 4)))
         chunks = [texts[i : i + step] for i in range(0, len(texts), step)]
-        instances = passes = skips = aborted = 0
-        violations = []
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_chunk, claim.id, chunk, limits)
-                for chunk in chunks
-            ]
-            for fut in futures:
-                i, p, s, a, v = fut.result()
-                instances += i
-                passes += p
-                skips += s
-                aborted += a
-                violations.extend(v)
-    violations.sort(key=lambda v: (v.graph, v.witness))
+            parts = list(pool.map(partial(_run_chunk, claim, limits), chunks))
+    counts = [sum(p[i] for p in parts) for i in range(4)]
+    violations = sorted(
+        (v for p in parts for v in p[4]), key=lambda v: (v.graph, v.witness)
+    )
     elapsed = time.perf_counter() - start
     return SweepReport(
-        claim.id,
-        family_desc,
-        instances,
-        passes,
-        skips,
-        aborted,
-        tuple(violations),
-        elapsed,
-        seed_info,
+        claim.id, family_desc, *counts, tuple(violations), elapsed, seed_info
     )
 
 
 def report_emit(report: SweepReport, fmt: str) -> str:
     """Serialise a report as json, csv (one row per violation), or text."""
     if fmt == "json":
-        payload = {
-            "claim": report.claim,
-            "family": report.family,
-            "instances": report.instances,
-            "passes": report.passes,
-            "skips": report.skips,
-            "aborted": report.aborted,
-            "violations": [
-                {"graph": v.graph, "witness": v.witness}
-                for v in report.violations
-            ],
-            "elapsed_seconds": report.elapsed_seconds,
-            "seed_info": report.seed_info,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(report), indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)

@@ -102,6 +102,12 @@ def test_parse_fuzz_matches_constructor(text):
         ("2 1\n-1 0\n", "line 2: arc (-1, 0) out of range for n=2"),
         ("2 1\n1 1\n", "line 2: loop at vertex 1"),
         ("2 2\n0 1\n0 1\n", "line 3: duplicate arc (0, 1)"),
+        # only ASCII decimal digits with an optional leading '-' are integers
+        ("1_0 0\n", "line 1: count line must be two integers"),
+        ("\u0663 0\n", "line 1: count line must be two integers"),
+        ("+2 1\n0 +1\n", "line 1: count line must be two integers"),
+        ("2 1\n0 +1\n", "line 2: arc line must be two integers"),
+        ("2 1\n0 \uff11\n", "line 2: arc line must be two integers"),
     ],
 )
 def test_parse_errors(text, fragment):

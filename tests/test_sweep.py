@@ -19,6 +19,7 @@ from quasikernel.graphio import format_graph
 from quasikernel.solver import SolverLimits
 from quasikernel.sweep import (
     CLAIMS,
+    Claim,
     SweepReport,
     Violation,
     random_source_free_family,
@@ -31,6 +32,15 @@ C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C4 = gen_cycle(4)
 PAIR = Digraph(2, [(0, 1), (1, 0)])
 PATH = Digraph(3, [(0, 1), (1, 2)])
+
+
+# module level, so that pool workers can unpickle them
+def _applies_always(G, limits):
+    return True
+
+
+def _check_always_fails(G, limits):
+    return False, "fails by design"
 
 
 def _schema():
@@ -142,6 +152,15 @@ class TestRunClaim:
         parallel = run_claim(CLAIMS["spiro-sqrt"], family, jobs=2, family_desc="d2")
         assert serial == parallel
         assert len(serial.violations) == 1
+
+    @pytest.mark.parametrize("claim_id", ["kls", "unregistered"])
+    def test_parallel_runs_the_given_claim(self, claim_id):
+        # workers must run this claim, not a registered one with its id
+        claim = Claim(claim_id, "never holds", _applies_always, _check_always_fails)
+        serial = run_claim(claim, [C3, C4], family_desc="x")
+        parallel = run_claim(claim, [C3, C4], jobs=2, family_desc="x")
+        assert parallel == serial
+        assert serial.passes == 0 and len(serial.violations) == 2
 
     def test_violations_are_sorted_regardless_of_family_order(self):
         a = run_claim(CLAIMS["spiro-sqrt"], [PAIR, C3], family_desc="x")
