@@ -1,5 +1,7 @@
 """Quasi-kernel toolkit: graph model, greedy scans, exact search, constructions."""
 
+from types import ModuleType as _ModuleType
+
 from .construct import (
     ConstructionTrace,
     HairyPartition,
@@ -80,71 +82,8 @@ from .sweep import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CLAIMS",
-    "CheckReport",
-    "Claim",
-    "ConstructionTrace",
-    "DEFAULT_LIMITS",
-    "Digraph",
-    "GraphFormatError",
-    "HairyPartition",
-    "Ordering",
-    "PreconditionError",
-    "QkError",
-    "ResourceLimitError",
-    "SolverLimits",
-    "SplitMix64",
-    "StructureError",
-    "SweepReport",
-    "VerificationError",
-    "VertexRangeError",
-    "Violation",
-    "cl_algorithm",
-    "closed_in",
-    "closed_out",
-    "enumerate_all_digraphs",
-    "enumerate_all_tournaments",
-    "enumerate_kernels",
-    "enumerate_q_kernels",
-    "find_king",
-    "format_graph",
-    "gen_cycle",
-    "gen_random_digraph",
-    "gen_random_hairy",
-    "gen_random_tournament",
-    "gen_random_unicyclic",
-    "gen_three_hub",
-    "gen_tight_hairy",
-    "hairy_small_qk",
-    "has_directed_odd_cycle",
-    "has_kernel",
-    "has_two_disjoint_qks",
-    "induced",
-    "is_independent",
-    "is_kernel",
-    "is_kernel_perfect",
-    "is_large_qk",
-    "is_q_kernel",
-    "is_quasi_sink",
-    "is_tournament",
-    "kls_bound",
-    "load_graph",
-    "modified_cl",
-    "ordering_has_symmetric_back_property",
-    "out_neighbors",
-    "parse_graph",
-    "q_kernel_at_most",
-    "random_source_free_family",
-    "report_emit",
-    "run_claim",
-    "save_graph",
-    "shrink_good_qk",
-    "small_qk_from_kernel_complement",
-    "smallest_q_kernel",
-    "sources",
-    "strongly_connected_components",
-    "transpose",
-    "unicyclic_small_qk",
-    "verify_set",
-]
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

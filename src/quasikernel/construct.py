@@ -11,12 +11,11 @@ from .digraph import (
     VertexSet,
     _bits,
     _mask_of,
+    _q_kernel,
     _reach,
     _set_of,
     _tournament_break,
     _union,
-    induced,
-    is_kernel,
     is_q_kernel,
     is_tournament,
     sources,
@@ -145,13 +144,11 @@ def small_qk_from_kernel_complement(G: Digraph, qk, kernel) -> ConstructionTrace
         raise PreconditionError(
             f"kernel vertices {bad} lie outside the uncovered part"
         )
-    C = _set_of(c_mask)
-    H, relabel = induced(G, C)
-    krep = is_kernel(H, frozenset(relabel[v] for v in K))
+    krep = _q_kernel(G, k_mask, _union(G.closed1_masks, k_mask) | ~c_mask)
     if not krep:
         raise PreconditionError(
             f"input kernel is not a kernel of the uncovered part, witness "
-            f"{krep.witness} (relabelled)"
+            f"{krep.witness}"
         )
     out = G.out_masks
     d_mask = a_mask & _union(out, k_mask)
@@ -168,7 +165,7 @@ def small_qk_from_kernel_complement(G: Digraph, qk, kernel) -> ConstructionTrace
     inter = {
         "A": A,
         "B": _set_of(b_mask),
-        "C": C,
+        "C": _set_of(c_mask),
         "K": K,
         "D": _set_of(d_mask),
         "J": _set_of(j_mask),

@@ -5,6 +5,9 @@ from __future__ import annotations
 from .digraph import Digraph
 from .errors import GraphFormatError
 
+# one adjacency set per vertex is allocated before any arc is read
+_MAX_VERTICES = 1 << 20
+
 
 def _two_ints(line: str) -> tuple[int, int] | None:
     """The two integers of a count or arc line, or None if it holds anything else.
@@ -38,6 +41,8 @@ def parse_graph(text: str) -> Digraph:
     n, m = counts
     if n < 0 or m < 0:
         raise GraphFormatError("counts must be non-negative", lineno)
+    if n > _MAX_VERTICES:
+        raise GraphFormatError(f"vertex count {n} exceeds {_MAX_VERTICES}", lineno)
     body = rows[1:]
     if len(body) != m:
         raise GraphFormatError(

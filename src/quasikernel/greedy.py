@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .construct import _require_source_free
-from .digraph import Digraph, VertexSet, _mask_of, _set_of, _union, induced, is_q_kernel
+from .digraph import Digraph, VertexSet, _mask_of, _set_of, _union, is_q_kernel
 from .errors import PreconditionError, VerificationError
 from .rng import SplitMix64
 
@@ -65,16 +65,15 @@ def cl_algorithm(G: Digraph, ordering: Ordering) -> VertexSet:
 
     Phase 1 greedily covers V along the ordering; phase 2 repeats the scan on
     the subgraph induced by the phase-1 picks, visiting them in reverse pick
-    order.  Arcs between surviving picks would have to point forward in both
-    scans at once, so the result is independent, and it still 2-covers V.
+    order, with each closed out-neighbourhood cut to the picks.  Arcs between
+    surviving picks would have to point forward in both scans at once, so the
+    result is independent, and it still 2-covers V.
     """
     _match(G, ordering)
-    first = _greedy_scan(G.closed1_masks, ordering.perm)
-    H, relabel = induced(G, first)
-    order2 = [relabel[v] for v in reversed(first)]
-    second = _greedy_scan(H.closed1_masks, order2)
-    back = {new: old for old, new in relabel.items()}
-    result = frozenset(back[v] for v in second)
+    closed1 = G.closed1_masks
+    first = _greedy_scan(closed1, ordering.perm)
+    picks = _mask_of(first, G.n)
+    result = frozenset(_greedy_scan([c & picks for c in closed1], reversed(first)))
     check = is_q_kernel(G, result, 2)
     if not check:
         raise VerificationError(

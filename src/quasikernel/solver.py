@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .digraph import Digraph, VertexSet, _bits, _set_of, induced, out_neighbors, sources
+from .digraph import Digraph, VertexSet, _bits, _set_of, out_neighbors, sources
 from .errors import ResourceLimitError
 
 
@@ -39,25 +39,29 @@ class _Budget:
             raise ResourceLimitError("candidate subset budget exhausted")
 
 
-def _guard(G: Digraph, limits: SolverLimits):
+def _budget(G: Digraph, limits: SolverLimits) -> _Budget:
+    """A fresh node budget for a search on G, once G passes the max_n guard."""
     if G.n > limits.max_n:
         raise ResourceLimitError(f"n={G.n} exceeds max_n={limits.max_n}")
+    return _Budget(limits.max_subsets)
 
 
-def _hit_masks(G: Digraph, q: int, budget: _Budget):
-    """Yield masks of independent sets whose q-step closure covers V.
+def _hit_masks(reach, und, full: int, budget: _Budget):
+    """Yield independent-set masks of G[full] whose closure covers full.
+
+    reach holds G[full]'s per-vertex closure masks, 0 outside full, and und
+    G's undirected-neighbour masks.  Vertices outside full start banned, so
+    node counts match a search on G[full].  Only closed1_masks cut to full
+    give G[full]'s own closures; at q >= 2 full must be all of V.
 
     DFS over ascending vertex indices, so hits come out in lexicographic
     order of their sorted member tuples.  Supersets of a hit are explored
     too since they may also be hits.
     """
-    full = G.full_mask
     if full == 0:
         yield 0
         return
-    n = G.n
-    reach = G.reach_masks(q)
-    und = G.undirected_masks
+    n = len(reach)
     suffix = [0] * (n + 1)
     for v in range(n - 1, -1, -1):
         suffix[v] = suffix[v + 1] | reach[v]
@@ -76,12 +80,12 @@ def _hit_masks(G: Digraph, q: int, budget: _Budget):
                 yield members | bit
             yield from rec(v + 1, members | bit, banned | bit | und[v], new_cover)
 
-    yield from rec(0, 0, 0, 0)
+    yield from rec(0, 0, ~full, 0)
 
 
 def _iter_hits(G, q, limits):
-    _guard(G, limits)
-    return _hit_masks(G, q, _Budget(limits.max_subsets))
+    budget = _budget(G, limits)
+    return _hit_masks(G.reach_masks(q), G.undirected_masks, G.full_mask, budget)
 
 
 def enumerate_q_kernels(G: Digraph, q: int = 2, limits: SolverLimits | None = None):
@@ -118,13 +122,12 @@ def _smallest(
     it the lexicographically smallest set of that size.  Every branch and
     every vertex tried costs one budget node.
     """
-    _guard(G, limits)
+    budget = _budget(G, limits)
     n, full = G.n, G.full_mask
     if n == 0:
         return frozenset()
     if cap < 1:
         return None
-    budget = _Budget(limits.max_subsets)
     reach = G.reach_masks(q)
     for v in range(n):
         budget.spend()
@@ -216,12 +219,13 @@ def is_kernel_perfect(G: Digraph, limits: SolverLimits | None = None):
     kernel-free vertex subset in size-ascending, then lexicographic, order.
     """
     limits = limits or DEFAULT_LIMITS
-    _guard(G, limits)
-    budget = _Budget(limits.max_subsets)
+    budget = _budget(G, limits)
+    closed1, und = G.closed1_masks, G.undirected_masks
     for size in range(1, G.n + 1):
         for combo in combinations(range(G.n), size):
-            H, _ = induced(G, combo)
-            if next(_hit_masks(H, 1, budget), None) is None:
+            W = sum(1 << v for v in combo)
+            reach = [c & W if (W >> v) & 1 else 0 for v, c in enumerate(closed1)]
+            if next(_hit_masks(reach, und, W, budget), None) is None:
                 return False, frozenset(combo)
     return True, None
 

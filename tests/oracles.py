@@ -6,6 +6,8 @@ code can be checked against an independently written baseline.
 
 from itertools import combinations
 
+from quasikernel.digraph import induced
+
 
 def reach_within(G, start, q):
     """Vertices reachable from start in at most q arc steps, start included."""
@@ -98,3 +100,24 @@ def brute_is_kernel_perfect(G):
             if not brute_kernels(sub):
                 return False, frozenset(keep)
     return True, None
+
+
+def two_phase_greedy(G, perm):
+    """Chvatal-Lovasz greedy: scan perm, then rescan the picks' induced subgraph.
+
+    Each scan picks every vertex not yet in the closed out-neighbourhood of
+    the picks so far; the second visits the first scan's picks in reverse.
+    """
+
+    def scan(H, order):
+        covered, picks = set(), []
+        for v in order:
+            if v not in covered:
+                picks.append(v)
+                covered |= {v, *H.out_adj[v]}
+        return picks
+
+    first = scan(G, perm)
+    H, relabel = induced(G, first)
+    back = {i: v for v, i in relabel.items()}
+    return frozenset(back[i] for i in scan(H, [relabel[v] for v in reversed(first)]))

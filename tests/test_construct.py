@@ -138,7 +138,10 @@ class TestKernelComplement:
             small_qk_from_kernel_complement(C5, {0, 2}, {0})
 
     def test_rejects_non_kernel_of_remainder(self):
-        with pytest.raises(PreconditionError, match="not a kernel of the uncovered"):
+        # the witness is a vertex of G: C = {4} is left uncovered by the empty kernel
+        with pytest.raises(
+            PreconditionError, match="not a kernel of the uncovered part, witness 4$"
+        ):
             small_qk_from_kernel_complement(C5, {0, 2}, frozenset())
 
     @settings(max_examples=60, deadline=None)

@@ -94,6 +94,9 @@ def test_parse_fuzz_matches_constructor(text):
         ("3\n", "line 1: count line must be two integers"),
         ("a b\n", "line 1: count line must be two integers"),
         ("-1 0\n", "line 1: counts must be non-negative"),
+        # refused before any per-vertex memory is set aside
+        ("1048577 0\n", "line 1: vertex count 1048577 exceeds 1048576"),
+        ("1000000000 0\n", "line 1: vertex count 1000000000 exceeds 1048576"),
         ("2 2\n0 1\n", "line 1: expected 2 arc lines, found 1"),
         ("2 0\n0 1\n", "line 1: expected 0 arc lines, found 1"),
         ("2 1\n0 1 2\n", "line 2: arc line must be two integers"),

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from quasikernel.digraph import Digraph, is_independent, is_q_kernel
 from quasikernel.errors import PreconditionError
-from quasikernel.generators import gen_three_hub
+from quasikernel.generators import gen_random_digraph, gen_three_hub
 from quasikernel.greedy import (
     Ordering,
     _greedy_scan,
@@ -17,6 +17,7 @@ from quasikernel.greedy import (
     ordering_has_symmetric_back_property,
 )
 
+from oracles import two_phase_greedy
 from strategies import digraphs, source_free_digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -89,6 +90,13 @@ class TestClAlgorithm:
 
     def test_empty_graph(self):
         assert cl_algorithm(Digraph(0), Ordering.natural(0)) == frozenset()
+
+    def test_matches_induced_subgraph_reference(self):
+        for seed in range(400):
+            n = seed % 10
+            G = gen_random_digraph(n, (0.1, 0.3, 0.6)[seed % 3], False, seed)
+            for ordering in (Ordering.natural(n), Ordering.shuffled(n, seed)):
+                assert cl_algorithm(G, ordering) == two_phase_greedy(G, ordering.perm)
 
     @settings(max_examples=120)
     @given(digraphs(max_n=7), st.integers(0, 2**32))

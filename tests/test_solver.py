@@ -215,6 +215,14 @@ class TestLimits:
         limits = SolverLimits(max_n=64, max_subsets=1_000_000)
         assert sorted(smallest_q_kernel(G, 2, limits)) == [2, 3, 4, 13, 21, 45, 46, 47]
 
+    @pytest.mark.parametrize("length, nodes", [(3, 9), (4, 24), (6, 147)])
+    def test_kernel_perfect_node_count(self, length, nodes):
+        G = gen_cycle(length)
+        expected = is_kernel_perfect(G)
+        assert is_kernel_perfect(G, SolverLimits(max_subsets=nodes)) == expected
+        with pytest.raises(ResourceLimitError, match="budget exhausted"):
+            is_kernel_perfect(G, SolverLimits(max_subsets=nodes - 1))
+
     def test_generous_budget_is_enough(self):
         limits = SolverLimits(max_subsets=10_000)
         assert enumerate_q_kernels(C4, 2, limits) == enumerate_q_kernels(C4)
