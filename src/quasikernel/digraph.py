@@ -261,8 +261,7 @@ def is_q_kernel(G: Digraph, S: Iterable[int], q: int = 2) -> CheckReport:
     if q < 1:
         raise ValueError("q must be at least 1")
     mask = _mask_of(S, G.n)
-    covered = _union(G.reach_masks(q), mask) if q <= 2 else _reach(G.out_masks, mask, q)
-    return _q_kernel(G, mask, covered)
+    return _q_kernel(G, mask, _union(G.reach_masks(q), mask))
 
 
 def is_quasi_sink(G: Digraph, S: Iterable[int]) -> CheckReport:

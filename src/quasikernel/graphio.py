@@ -5,8 +5,11 @@ from __future__ import annotations
 from .digraph import Digraph
 from .errors import GraphFormatError
 
-# one adjacency set per vertex is allocated before any arc is read
-_MAX_VERTICES = 1 << 20
+# Largest vertex count parse_graph accepts.  A count at the cap costs about
+# 24 MB before any arc is read (one adjacency set per vertex); past it, each
+# per-vertex bitmask table that the checks and searches build, such as
+# closed1_masks (about n^2/16 bytes), passes 256 MB.
+_MAX_VERTICES = 1 << 16
 
 
 def _two_ints(line: str) -> tuple[int, int] | None:

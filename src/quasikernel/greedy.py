@@ -65,15 +65,14 @@ def cl_algorithm(G: Digraph, ordering: Ordering) -> VertexSet:
 
     Phase 1 greedily covers V along the ordering; phase 2 repeats the scan on
     the subgraph induced by the phase-1 picks, visiting them in reverse pick
-    order, with each closed out-neighbourhood cut to the picks.  Arcs between
-    surviving picks would have to point forward in both scans at once, so the
-    result is independent, and it still 2-covers V.
+    order.  Arcs between surviving picks would have to point forward in both
+    scans at once, so the result is independent, and it still 2-covers V.
     """
     _match(G, ordering)
     closed1 = G.closed1_masks
     first = _greedy_scan(closed1, ordering.perm)
-    picks = _mask_of(first, G.n)
-    result = frozenset(_greedy_scan([c & picks for c in closed1], reversed(first)))
+    # phase 2 only tests picks, so G's masks act as those of the induced subgraph
+    result = frozenset(_greedy_scan(closed1, reversed(first)))
     check = is_q_kernel(G, result, 2)
     if not check:
         raise VerificationError(

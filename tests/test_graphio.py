@@ -95,8 +95,8 @@ def test_parse_fuzz_matches_constructor(text):
         ("a b\n", "line 1: count line must be two integers"),
         ("-1 0\n", "line 1: counts must be non-negative"),
         # refused before any per-vertex memory is set aside
-        ("1048577 0\n", "line 1: vertex count 1048577 exceeds 1048576"),
-        ("1000000000 0\n", "line 1: vertex count 1000000000 exceeds 1048576"),
+        ("65537 0\n", "line 1: vertex count 65537 exceeds 65536"),
+        ("1000000000 0\n", "line 1: vertex count 1000000000 exceeds 65536"),
         ("2 2\n0 1\n", "line 1: expected 2 arc lines, found 1"),
         ("2 0\n0 1\n", "line 1: expected 0 arc lines, found 1"),
         ("2 1\n0 1 2\n", "line 2: arc line must be two integers"),
@@ -117,6 +117,10 @@ def test_parse_errors(text, fragment):
     with pytest.raises(GraphFormatError) as exc:
         parse_graph(text)
     assert fragment in str(exc.value)
+
+
+def test_parse_accepts_vertex_count_at_cap():
+    assert parse_graph("65536 0\n").n == 65536
 
 
 def test_error_line_numbers_count_comments():
