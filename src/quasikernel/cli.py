@@ -46,6 +46,7 @@ from .solver import (
 )
 from .sweep import (
     CLAIMS,
+    _MODES,
     random_source_free_family,
     report_emit,
     run_claim,
@@ -387,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--mode",
         required=True,
-        choices=["kernel", "qk", "q-kernel", "quasi-sink", "large"],
+        choices=list(_MODES),
     )
     p_check.add_argument("--q", type=int, help="radius for q-kernel mode")
     p_check.set_defaults(func=_cmd_check)

@@ -122,6 +122,8 @@ def _smallest(
     it the lexicographically smallest set of that size.  Every branch and
     every vertex tried costs one budget node.
     """
+    if q < 1:
+        raise ValueError("q must be at least 1")
     budget = _budget(G, limits)
     n, full = G.n, G.full_mask
     if n == 0:
@@ -183,8 +185,6 @@ def q_kernel_at_most(
     G: Digraph, q: int, max_size: int, limits: SolverLimits | None = None
 ) -> VertexSet | None:
     """The smallest_q_kernel answer if it has at most max_size vertices, else None."""
-    if q < 1:
-        raise ValueError("q must be at least 1")
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
     return _smallest(G, q, limits or DEFAULT_LIMITS, max_size)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -322,8 +323,9 @@ def run_claim(
 
     With jobs > 1 the family is split over worker processes, which receive
     the claim itself, so its applies and check functions must be picklable
-    (defined at module level).  Violations are sorted by graph text then
-    witness, so sharding never changes the report.
+    (defined at module level).  The pool starts every worker at once, so it
+    gets no more than there are chunks or CPUs.  Violations are sorted by
+    graph text then witness, so sharding never changes the report.
     """
     limits = limits or DEFAULT_LIMITS
     if jobs < 1:
@@ -335,7 +337,8 @@ def run_claim(
         texts = [format_graph(G) for G in family]
         step = max(1, -(-len(texts) // (jobs * 4)))
         chunks = [texts[i : i + step] for i in range(0, len(texts), step)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = max(1, min(jobs, len(chunks), os.cpu_count() or 1))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_run_chunk, claim, limits), chunks))
     counts = [sum(p[i] for p in parts) for i in range(4)]
     violations = sorted(
@@ -375,21 +378,27 @@ def report_emit(report: SweepReport, fmt: str) -> str:
     raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _check_q_kernel(G, S, q):
+    if q is None:
+        raise ValueError("mode q-kernel requires q")
+    return is_q_kernel(G, S, q)
+
+
+# the named predicates of verify_set and qk check --mode, each called as (G, S, q)
+_MODES = {
+    "kernel": lambda G, S, q: is_kernel(G, S),
+    "qk": lambda G, S, q: is_q_kernel(G, S, 2),
+    "q-kernel": _check_q_kernel,
+    "quasi-sink": lambda G, S, q: is_quasi_sink(G, S),
+    "large": lambda G, S, q: is_large_qk(G, S),
+}
+
+
 def verify_set(G: Digraph, S, mode: str, q: int | None = None) -> CheckReport:
-    """Check S against a named predicate: kernel, qk, q-kernel, quasi-sink, large."""
-    if mode == "kernel":
-        return is_kernel(G, S)
-    if mode == "qk":
-        return is_q_kernel(G, S, 2)
-    if mode == "q-kernel":
-        if q is None:
-            raise ValueError("mode q-kernel requires q")
-        return is_q_kernel(G, S, q)
-    if mode == "quasi-sink":
-        return is_quasi_sink(G, S)
-    if mode == "large":
-        return is_large_qk(G, S)
-    raise ValueError(f"unknown mode {mode!r}")
+    """Check S against the predicate named by mode (see _MODES); q is for q-kernel."""
+    if mode not in _MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _MODES[mode](G, S, q)
 
 
 def random_source_free_family(count: int, max_n: int, seed: int):

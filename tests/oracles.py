@@ -83,6 +83,12 @@ def brute_has_odd_cycle(G):
     return any(dfs(s, [s], {s}) for s in range(G.n))
 
 
+def brute_sccs(G):
+    """Strong components as classes of mutual reachability."""
+    reach = [reach_within(G, v, G.n) for v in range(G.n)]
+    return {frozenset(w for w in reach[v] if v in reach[w]) for v in range(G.n)}
+
+
 def brute_is_kernel_perfect(G):
     """Every nonempty induced subgraph needs a kernel; returns (ok, bad_subset)."""
     verts = sorted(range(G.n))

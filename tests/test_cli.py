@@ -9,6 +9,7 @@ from quasikernel.cli import main
 from quasikernel.graphio import load_graph, save_graph
 from quasikernel.generators import gen_cycle
 from quasikernel.digraph import Digraph
+from quasikernel.sweep import _MODES
 
 
 @pytest.fixture
@@ -130,6 +131,11 @@ class TestSolve:
         save_graph(Digraph(3, [(0, 1), (1, 2), (2, 0)]), path)
         assert main(["solve", "--graph", str(path), "--smallest", "--q", "1"]) == 0
         assert json.loads(capsys.readouterr().out) == {"smallest": None, "size": None}
+
+    @pytest.mark.parametrize("action", ["--smallest", "--enumerate"])
+    def test_bad_q(self, c5_file, capsys, action):
+        assert main(["solve", "--graph", c5_file, action, "--q", "0"]) == 2
+        assert "q must be at least 1" in capsys.readouterr().err
 
     def test_enumerate(self, c5_file, capsys):
         assert main(["solve", "--graph", c5_file, "--enumerate"]) == 0
@@ -306,6 +312,13 @@ class TestCheck:
                      "--mode", "q-kernel", "--q", "4"]) == 0
         assert main(["check", "--graph", c5_file, "--set", "0",
                      "--mode", "q-kernel"]) == 2
+
+    def test_every_sweep_mode_is_accepted(self, c5_file):
+        for mode in _MODES:
+            assert main(["check", "--graph", c5_file, "--set", "0,2",
+                         "--mode", mode, "--q", "2"]) in (0, 1)
+        assert main(["check", "--graph", c5_file, "--set", "0,2",
+                     "--mode", "clique"]) == 2
 
     def test_large_and_quasi_sink(self, c5_file):
         assert main(["check", "--graph", c5_file, "--set", "0,2",

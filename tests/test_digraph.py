@@ -23,12 +23,13 @@ from quasikernel.digraph import (
     transpose,
 )
 from quasikernel.errors import VertexRangeError
-from quasikernel.generators import enumerate_all_digraphs
+from quasikernel.generators import enumerate_all_digraphs, gen_cycle
 from quasikernel.rng import SplitMix64
 
 from oracles import (
     brute_has_odd_cycle,
     brute_q_kernels,
+    brute_sccs,
     brute_sources,
     independent,
     reach_within,
@@ -155,6 +156,17 @@ class TestNeighborhoods:
         assert closed_out(G, S, q) == set_reach(G, S, q) | set(S)
         assert closed_in(G, S, q) == closed_out(transpose(G), S, q)
         assert out_neighbors(G, S) == {v for u in S for v in G.out_adj[u]}
+
+    @pytest.mark.parametrize(
+        "G", [gen_cycle(7), Digraph(6, [(i, i + 1) for i in range(5)])]
+    )
+    def test_closures_reach_their_fixpoint(self, G):
+        # radii up to and past n, where only the fixpoint stops the closure
+        for q in range(2 * G.n + 2):
+            for S in ({0}, {2}, {1, 4}, set(range(G.n))):
+                assert closed_out(G, S, q) == set_reach(G, S, q)
+                assert closed_in(G, S, q) == set_reach(transpose(G), S, q)
+        assert closed_out(G, {0}, G.n) == set(range(G.n))
 
     def test_rejects_out_of_range_vertices(self):
         with pytest.raises(VertexRangeError):
@@ -305,6 +317,15 @@ class TestStructure:
             assert pos[u] >= pos[v]
 
 
+    @settings(max_examples=80)
+    @given(digraphs(max_n=7))
+    def test_scc_sets_match_mutual_reachability(self, G):
+        comps = strongly_connected_components(G)
+        assert len(comps) == len(set(comps))
+        assert set(comps) == brute_sccs(G)
+        assert set(strongly_connected_components(transpose(G))) == set(comps)
+
+
 class TestOddCycle:
     def test_examples(self):
         assert has_directed_odd_cycle(C3)
@@ -323,6 +344,11 @@ class TestOddCycle:
         for n in range(5):
             for G in enumerate_all_digraphs(n):
                 assert has_directed_odd_cycle(G) == brute_has_odd_cycle(G), G.arcs
+
+    @settings(max_examples=80)
+    @given(digraphs(max_n=7))
+    def test_transpose_keeps_the_answer(self, G):
+        assert has_directed_odd_cycle(transpose(G)) == has_directed_odd_cycle(G)
 
     def test_random_medium_agrees_with_oracle(self):
         rng = SplitMix64(2024)

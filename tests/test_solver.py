@@ -100,6 +100,12 @@ class TestSmallest:
     def test_kernel_mode_returns_none_when_absent(self):
         assert smallest_q_kernel(C3, 1) is None
 
+    @pytest.mark.parametrize("q", [0, -1])
+    def test_rejects_bad_q(self, q):
+        for G in (C3, Digraph(3), Digraph(0)):
+            with pytest.raises(ValueError, match="q must be at least 1"):
+                smallest_q_kernel(G, q)
+
     def test_tight_hairy_smallest_is_four(self):
         TH, _, _ = gen_tight_hairy(1)
         Q = smallest_q_kernel(TH)

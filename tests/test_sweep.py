@@ -8,6 +8,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from quasikernel import sweep
 from quasikernel.digraph import Digraph
 from quasikernel.errors import VertexRangeError
 from quasikernel.generators import (
@@ -166,6 +167,35 @@ class TestRunClaim:
         a = run_claim(CLAIMS["spiro-sqrt"], [PAIR, C3], family_desc="x")
         b = run_claim(CLAIMS["spiro-sqrt"], [C3, PAIR], family_desc="x")
         assert a == b
+
+    @pytest.mark.parametrize(
+        "jobs, count, cpus, workers",
+        [(64, 3, 8, 3), (64, 40, 2, 2), (3, 40, 8, 3), (5, 0, 8, 1), (4, 40, None, 1)],
+    )
+    def test_pool_size_is_capped(self, monkeypatch, jobs, count, cpus, workers):
+        # a stand-in pool that maps in process, so no worker is ever started
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
+        family = list(enumerate_all_digraphs(3))[:count]
+        serial = run_claim(CLAIMS["gutin-unique"], family, family_desc="d3")
+        pooled = run_claim(CLAIMS["gutin-unique"], family, jobs=jobs, family_desc="d3")
+        assert started == [workers]
+        assert pooled == serial
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
