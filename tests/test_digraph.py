@@ -316,7 +316,6 @@ class TestStructure:
         for u, v in G.arcs:
             assert pos[u] >= pos[v]
 
-
     @settings(max_examples=80)
     @given(digraphs(max_n=7))
     def test_scc_sets_match_mutual_reachability(self, G):
