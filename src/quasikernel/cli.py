@@ -175,13 +175,26 @@ def _cmd_solve(args) -> int:
 
 
 def _load_partition(path: str) -> HairyPartition:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "partition" in data:
-        data = data["partition"]
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if isinstance(data, dict):
+        data = data.get("partition", data)
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    for key, kind in (("tournament_part", list), ("hair_part", list), ("owner", dict)):
+        if key not in data:
+            raise ValueError(f"{path}: missing key {key!r}")
+        value = items = data[key]
+        if isinstance(value, dict):  # hair -> owner; JSON object keys are strings
+            items = [int(k) if k.isdigit() else k for k in value] + list(value.values())
+        if not isinstance(value, kind) or not all(type(x) is int for x in items):
+            raise ValueError(f"{path}: {key!r} must be a {kind.__name__} of integers")
     return HairyPartition(
         frozenset(data["tournament_part"]),
         frozenset(data["hair_part"]),
-        {int(k): int(v) for k, v in data["owner"].items()},
+        {int(k): v for k, v in data["owner"].items()},
     )
 
 
@@ -242,13 +255,13 @@ def _cmd_sweep(args) -> int:
     else:
         enumerate_family, default_n, states = _EXHAUSTIVE[args.family]
         n = args.n if args.n is not None else default_n
+        family = enumerate_family(n)
         if n > default_n:
             print(
                 f"note: enumerating {args.family.replace('-', ' ')} on {n} "
                 f"vertices walks {states}^{n * (n - 1) // 2} instances",
                 file=sys.stderr,
             )
-        family = enumerate_family(n)
         family_desc = f"{args.family}(n={n})"
     report = run_claim(
         CLAIMS[args.claim],

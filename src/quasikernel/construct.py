@@ -327,7 +327,7 @@ def hairy_small_qk(
 
 def _max_out_degree_vertex(G: Digraph) -> int:
     """Lowest-index vertex of maximum out-degree; G must have a vertex."""
-    return max(range(G.n), key=lambda v: len(G.out_adj[v]))
+    return max(range(G.n), key=lambda v: G.out_masks[v].bit_count())
 
 
 def find_king(G: Digraph) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .construct import HairyPartition
-from .digraph import Digraph
+from .digraph import Digraph, _bits, _union
 from .rng import SplitMix64
 
 
@@ -101,25 +101,22 @@ def gen_random_digraph(
     if source_free and n < 2:
         raise ValueError("source-free graphs need at least 2 vertices")
     rng = SplitMix64(seed)
-    arcs = set()
-    indeg = [0] * n
+    out = [0] * n
     for u in range(n):
         for v in range(n):
             if u != v and rng.next_float() < arc_prob:
-                arcs.add((u, v))
-                indeg[v] += 1
-    if source_free:
-        while True:
-            srcs = [v for v in range(n) if indeg[v] == 0]
-            if not srcs:
-                break
-            for v in srcs:
-                u = rng.next_below(n - 1)
-                if u >= v:
-                    u += 1
-                arcs.add((u, v))
-                indeg[v] += 1
-    return Digraph(n, sorted(arcs))
+                out[u] |= 1 << v
+    full = (1 << n) - 1
+    while source_free:
+        srcs = full & ~_union(out, full)
+        if not srcs:
+            break
+        for v in _bits(srcs):
+            u = rng.next_below(n - 1)
+            if u >= v:
+                u += 1
+            out[u] |= 1 << v
+    return Digraph._trusted(n, out)
 
 
 def _orient_pairs(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
@@ -193,14 +190,14 @@ def _pair_states(n: int, states: tuple[int, ...]):
     digit = (1 << width) - 1
     pairs = [(u, v, width * k) for k, (u, v) in enumerate(combinations(range(n), 2))]
     for code in range(1 << (width * len(pairs))):
-        out_lists: list[list[int]] = [[] for _ in range(n)]
+        out = [0] * n
         for u, v, shift in pairs:
             state = states[code >> shift & digit]
             if state & 1:
-                out_lists[u].append(v)
+                out[u] |= 1 << v
             if state & 2:
-                out_lists[v].append(u)
-        yield Digraph._trusted(n, out_lists)
+                out[v] |= 1 << u
+        yield Digraph._trusted(n, out)
 
 
 def enumerate_all_digraphs(n: int):
@@ -214,7 +211,7 @@ def enumerate_all_digraphs(n: int):
         raise ValueError("n must be non-negative")
     if n > 5:
         raise ValueError("exhaustive digraph enumeration is capped at n=5")
-    yield from _pair_states(n, (0, 1, 2, 3))
+    return _pair_states(n, (0, 1, 2, 3))
 
 
 def enumerate_all_tournaments(n: int):
@@ -226,4 +223,4 @@ def enumerate_all_tournaments(n: int):
         raise ValueError("n must be non-negative")
     if n > 7:
         raise ValueError("exhaustive tournament enumeration is capped at n=7")
-    yield from _pair_states(n, (1, 2))
+    return _pair_states(n, (1, 2))

