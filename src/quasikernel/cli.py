@@ -15,13 +15,7 @@ from .construct import (
     unicyclic_small_qk,
 )
 from .digraph import is_q_kernel
-from .errors import (
-    GraphFormatError,
-    PreconditionError,
-    ResourceLimitError,
-    StructureError,
-    VerificationError,
-)
+from .errors import QkError, ResourceLimitError, VerificationError
 from .generators import (
     enumerate_all_digraphs,
     enumerate_all_tournaments,
@@ -33,7 +27,7 @@ from .generators import (
     gen_three_hub,
     gen_tight_hairy,
 )
-from .graphio import format_graph, load_graph
+from .graphio import _int, format_graph, load_graph
 from .greedy import Ordering, cl_algorithm, modified_cl
 from .solver import (
     DEFAULT_LIMITS,
@@ -54,11 +48,14 @@ from .sweep import (
 )
 
 
-def _parse_ints(text):
-    text = text.strip()
-    if not text:
-        return []
-    return [int(p) for p in text.replace(",", " ").split()]
+def _ints(text):
+    """argparse type of a comma or space separated list of integers."""
+    tokens = text.replace(",", " ").split()
+    ints = [_int(t) for t in tokens]
+    if None in ints:
+        bad = tokens[ints.index(None)]
+        raise argparse.ArgumentTypeError(f"{bad!r} is not an integer")
+    return ints
 
 
 def _req(args, name):
@@ -129,7 +126,7 @@ def _cmd_gen(args) -> int:
 def _cmd_cl(args) -> int:
     G = load_graph(args.graph)
     if args.order is not None:
-        ordering = Ordering(tuple(_parse_ints(args.order)))
+        ordering = Ordering(tuple(args.order))
     elif args.seed is not None:
         ordering = Ordering.shuffled(G.n, args.seed)
     else:
@@ -188,13 +185,13 @@ def _load_partition(path: str) -> HairyPartition:
             raise ValueError(f"{path}: missing key {key!r}")
         value = items = data[key]
         if isinstance(value, dict):  # hair -> owner; JSON object keys are strings
-            items = [int(k) if k.isdigit() else k for k in value] + list(value.values())
+            items = [_int(k) for k in value] + list(value.values())
         if not isinstance(value, kind) or not all(type(x) is int for x in items):
             raise ValueError(f"{path}: {key!r} must be a {kind.__name__} of integers")
     return HairyPartition(
         frozenset(data["tournament_part"]),
         frozenset(data["hair_part"]),
-        {int(k): v for k, v in data["owner"].items()},
+        {_int(k): v for k, v in data["owner"].items()},
     )
 
 
@@ -204,7 +201,7 @@ def _cmd_construct(args) -> int:
     if method == "good":
         if args.qk is None:
             raise ValueError("--qk is required for method good")
-        trace = shrink_good_qk(G, frozenset(_parse_ints(args.qk)))
+        trace = shrink_good_qk(G, frozenset(args.qk))
     elif method == "complement":
         if args.qk is None or args.kernel is None:
             raise ValueError(
@@ -212,8 +209,8 @@ def _cmd_construct(args) -> int:
             )
         trace = small_qk_from_kernel_complement(
             G,
-            frozenset(_parse_ints(args.qk)),
-            frozenset(_parse_ints(args.kernel)),
+            frozenset(args.qk),
+            frozenset(args.kernel),
         )
     elif method == "hairy":
         if args.partition is not None:
@@ -290,7 +287,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check(args) -> int:
     G = load_graph(args.graph)
-    S = frozenset(_parse_ints(args.set))
+    S = frozenset(args.set)
     rep = verify_set(G, S, args.mode, args.q)
     if rep:
         print(f"holds: {sorted(S)} satisfies mode {args.mode}")
@@ -341,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cl = sub.add_parser("cl", help="run the greedy two-scan algorithm")
     p_cl.add_argument("--graph", required=True)
     order_group = p_cl.add_mutually_exclusive_group()
-    order_group.add_argument("--order", help="comma separated permutation")
+    order_group.add_argument("--order", type=_ints, help="comma separated permutation")
     order_group.add_argument("--seed", type=int, help="shuffle seed")
     p_cl.add_argument(
         "--modified",
@@ -370,8 +367,10 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["good", "complement", "hairy", "unicyclic"],
     )
-    p_con.add_argument("--qk", help="comma separated quasi-kernel")
-    p_con.add_argument("--kernel", help="comma separated kernel of the rest")
+    p_con.add_argument("--qk", type=_ints, help="comma separated quasi-kernel")
+    p_con.add_argument(
+        "--kernel", type=_ints, help="comma separated kernel of the rest"
+    )
     p_con.add_argument("--partition", help="hair partition json file")
     p_con.add_argument("--relaxed", action="store_true")
     p_con.set_defaults(func=_cmd_construct)
@@ -397,7 +396,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="verify a vertex set")
     p_check.add_argument("--graph", required=True)
-    p_check.add_argument("--set", required=True, help="comma separated set")
+    p_check.add_argument("--set", required=True, type=_ints, help="comma separated set")
     p_check.add_argument(
         "--mode",
         required=True,
@@ -417,21 +416,11 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (
-        GraphFormatError,
-        PreconditionError,
-        StructureError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (QkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except VerificationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, VerificationError):
+            return 1
+        return 3 if isinstance(exc, ResourceLimitError) else 2
 
 
 if __name__ == "__main__":

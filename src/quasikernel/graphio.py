@@ -12,19 +12,28 @@ from .errors import GraphFormatError
 _MAX_VERTICES = 1 << 16
 
 
-def _two_ints(line: str) -> tuple[int, int] | None:
-    """The two integers of a count or arc line, or None if it holds anything else.
+def _int(token: str) -> int | None:
+    """token as an int if it is ASCII digits with an optional leading '-', else None.
 
-    Integers are ASCII digits with an optional leading '-'.  int() also takes
-    '+', '_' and non-ASCII digits, so lines holding those are refused first.
+    The one integer rule for outside text: graph files, CLI vertex lists and
+    partition keys.  int() alone also takes '+', '_', surrounding whitespace
+    and non-ASCII digits.
     """
+    if token.isascii() and (token[1:] if token[:1] == "-" else token).isdigit():
+        try:
+            return int(token)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    return None
+
+
+def _two_ints(line: str) -> tuple[int, int] | None:
+    """The two integers of a count or arc line, or None if it holds anything else."""
     parts = line.split()
-    if len(parts) != 2 or not line.isascii() or "+" in line or "_" in line:
+    if len(parts) != 2 or not line.isascii():  # ASCII separators too
         return None
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
+    u, v = _int(parts[0]), _int(parts[1])
+    return None if u is None or v is None else (u, v)
 
 
 def parse_graph(text: str) -> Digraph:

@@ -24,6 +24,14 @@ class SolverLimits:
     max_n: int = 24
     max_subsets: int | None = None
 
+    def __post_init__(self):
+        if self.max_n < 0:
+            raise ValueError(f"max_n must be non-negative, got {self.max_n}")
+        if self.max_subsets is not None and self.max_subsets < 0:
+            raise ValueError(
+                f"max_subsets must be non-negative, got {self.max_subsets}"
+            )
+
 
 DEFAULT_LIMITS = SolverLimits()
 

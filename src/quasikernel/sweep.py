@@ -28,7 +28,7 @@ from .digraph import (
 )
 from .errors import ResourceLimitError
 from .generators import gen_random_digraph
-from .graphio import format_graph, parse_graph
+from .graphio import format_graph
 from .rng import SplitMix64
 from .solver import (
     DEFAULT_LIMITS,
@@ -307,8 +307,8 @@ def _run_graphs(claim, graphs, limits):
     return instances, passes, skips, aborted, violations
 
 
-def _run_chunk(claim, limits, texts):
-    return _run_graphs(claim, map(parse_graph, texts), limits)
+def _run_chunk(claim, limits, chunk):
+    return _run_graphs(claim, (Digraph._trusted(len(m), m) for m in chunk), limits)
 
 
 def run_claim(
@@ -321,11 +321,11 @@ def run_claim(
 ) -> SweepReport:
     """Run one claim over an iterable of graphs and aggregate the outcome.
 
-    With jobs > 1 the family is split over worker processes, which receive
-    the claim itself, so its applies and check functions must be picklable
-    (defined at module level).  The pool starts every worker at once, so it
-    gets no more than there are chunks or CPUs.  Violations are sorted by
-    graph text then witness, so sharding never changes the report.
+    With jobs > 1 the family is split over worker processes, which get each
+    graph's out-masks and the claim, so its applies and check functions must
+    be picklable (defined at module level).  The pool starts every worker at
+    once, so it gets no more than there are chunks or CPUs.  Violations are
+    sorted by graph text then witness, so sharding never changes the report.
     """
     limits = limits or DEFAULT_LIMITS
     if jobs < 1:
@@ -334,9 +334,9 @@ def run_claim(
     if jobs == 1:
         parts = [_run_graphs(claim, family, limits)]
     else:
-        texts = [format_graph(G) for G in family]
-        step = max(1, -(-len(texts) // (jobs * 4)))
-        chunks = [texts[i : i + step] for i in range(0, len(texts), step)]
+        masks = [G.out_masks for G in family]
+        step = max(1, -(-len(masks) // (jobs * 4)))
+        chunks = [masks[i : i + step] for i in range(0, len(masks), step)]
         workers = max(1, min(jobs, len(chunks), os.cpu_count() or 1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(partial(_run_chunk, claim, limits), chunks))

@@ -164,6 +164,11 @@ class TestSolve:
         assert main(["solve", "--graph", c5_file, "--smallest",
                      "--max-subsets", "1"]) == 3
 
+    @pytest.mark.parametrize("flag", ["--max-n", "--max-subsets"])
+    def test_negative_limit_is_a_usage_error(self, c5_file, capsys, flag):
+        assert main(["solve", "--graph", c5_file, "--smallest", flag, "-1"]) == 2
+        assert "must be non-negative, got -1" in capsys.readouterr().err
+
     def test_action_required(self, c5_file):
         assert main(["solve", "--graph", c5_file]) == 2
 
@@ -230,6 +235,21 @@ class TestConstruct:
                      "--partition", str(part)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {part}: ") and fragment in err
+
+    def test_partition_key_in_non_ascii_digits(self, tmp_path, capsys):
+        # an Arabic-Indic three is not hair 3
+        graph = tmp_path / "th.txt"
+        main(["gen", "--family", "tight-hairy", "--n", "1", "-o", str(graph)])
+        meta = json.loads((tmp_path / "th.txt.meta.json").read_text())
+        owner = meta["partition"]["owner"]
+        owner["\u0663"] = owner.pop("3")
+        part = tmp_path / "part.json"
+        part.write_text(json.dumps(meta))
+        capsys.readouterr()
+        assert main(["construct", "--graph", str(graph), "--method", "hairy",
+                     "--partition", str(part)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {part}: 'owner' must be a dict of integers")
 
     def test_hairy_inferred_partition(self, tmp_path, capsys):
         graph = tmp_path / "ht.txt"
@@ -365,6 +385,35 @@ class TestErrorsAndUsage:
         bad.write_text("2 1\n0 5\n")
         assert main(["solve", "--graph", str(bad), "--smallest"]) == 2
         assert "out of range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--mode", "qk", "--set", "7"],
+            ["construct", "--method", "good", "--qk", "9"],
+            ["construct", "--method", "complement", "--qk", "0,2", "--kernel", "9"],
+        ],
+    )
+    def test_vertex_out_of_range(self, c5_file, capsys, args):
+        # exit 1 would mean violations found
+        assert main([args[0], "--graph", c5_file, *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: vertex {args[-1]} out of range for n=5\n"
+
+    @pytest.mark.parametrize("token", ["1_0", "+0", "\u0663", "x"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["check", "--mode", "qk", "--set"],
+            ["cl", "--order"],
+            ["construct", "--method", "good", "--qk"],
+            ["construct", "--method", "complement", "--qk", "0,2", "--kernel"],
+        ],
+    )
+    def test_vertex_lists_take_only_plain_integers(self, c5_file, capsys, args, token):
+        assert main([args[0], "--graph", c5_file, *args[1:], f"0,{token}"]) == 2
+        err = capsys.readouterr().err
+        assert f"argument {args[-1]}: {token!r} is not an integer" in err
 
     def test_usage_errors(self):
         assert main([]) == 2

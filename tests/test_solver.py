@@ -237,6 +237,19 @@ class TestLimits:
         assert DEFAULT_LIMITS.max_n == 24
         assert DEFAULT_LIMITS.max_subsets is None
 
+    @pytest.mark.parametrize(
+        "kwargs, fragment",
+        [({"max_n": -1}, "max_n must be non-negative, got -1"),
+         ({"max_subsets": -5}, "max_subsets must be non-negative, got -5")],
+    )
+    def test_negative_limits_are_refused(self, kwargs, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            SolverLimits(**kwargs)
+
+    def test_zero_and_uncapped_limits_are_valid(self):
+        assert SolverLimits(max_n=0, max_subsets=0).max_subsets == 0
+        assert SolverLimits(max_subsets=None).max_subsets is None
+
 
 class TestKlsBound:
     def test_examples(self):

@@ -44,6 +44,31 @@ def _check_always_fails(G, limits):
     return False, "fails by design"
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Swap in a pool that maps in process, so no worker is ever started.
+
+    Returns the list of max_workers values the sweep asked for.
+    """
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
 def _schema():
     ref = resources.files("quasikernel") / "schemas" / "sweep_report.schema.json"
     return json.loads(ref.read_text(encoding="utf-8"))
@@ -140,10 +165,16 @@ class TestRunClaim:
         assert report.aborted == 1
 
     def test_parallel_matches_serial(self):
-        family = list(enumerate_all_digraphs(3))
-        serial = run_claim(CLAIMS["gutin-unique"], family, family_desc="d3")
+        # mixed vertex counts, so workers must take n from each graph's masks
+        family = [
+            Digraph(0),
+            Digraph(1),
+            *enumerate_all_digraphs(3),
+            *enumerate_all_tournaments(4),
+        ]
+        serial = run_claim(CLAIMS["gutin-unique"], family, family_desc="mixed")
         parallel = run_claim(
-            CLAIMS["gutin-unique"], family, jobs=2, family_desc="d3"
+            CLAIMS["gutin-unique"], family, jobs=2, family_desc="mixed"
         )
         assert serial == parallel
 
@@ -172,30 +203,33 @@ class TestRunClaim:
         "jobs, count, cpus, workers",
         [(64, 3, 8, 3), (64, 40, 2, 2), (3, 40, 8, 3), (5, 0, 8, 1), (4, 40, None, 1)],
     )
-    def test_pool_size_is_capped(self, monkeypatch, jobs, count, cpus, workers):
-        # a stand-in pool that maps in process, so no worker is ever started
-        started = []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(sweep, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_size_is_capped(
+        self, monkeypatch, pool_sizes, jobs, count, cpus, workers
+    ):
         monkeypatch.setattr(sweep.os, "cpu_count", lambda: cpus)
         family = list(enumerate_all_digraphs(3))[:count]
         serial = run_claim(CLAIMS["gutin-unique"], family, family_desc="d3")
         pooled = run_claim(CLAIMS["gutin-unique"], family, jobs=jobs, family_desc="d3")
-        assert started == [workers]
+        assert pool_sizes == [workers]
         assert pooled == serial
+
+    def test_pool_formats_only_violation_graphs(self, monkeypatch, pool_sizes):
+        # workers get out-masks; graph text is made only for a violation
+        formatted = []
+
+        def counting_format(G):
+            formatted.append(G)
+            return format_graph(G)
+
+        monkeypatch.setattr(sweep, "format_graph", counting_format)
+        clean = run_claim(CLAIMS["gutin-unique"], enumerate_all_digraphs(3), jobs=3)
+        assert pool_sizes and clean.violations == () and formatted == []
+        claim = Claim("x", "never holds", _applies_always, _check_always_fails)
+        failing = run_claim(claim, enumerate_all_digraphs(2), jobs=3)
+        assert len(failing.violations) == 4
+        assert sorted(map(format_graph, formatted)) == [
+            v.graph for v in failing.violations
+        ]
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
