@@ -58,17 +58,13 @@ def _ints(text):
     return ints
 
 
-def _req(args, name):
+def _req(args, name, choice):
+    """The value of flag name, which the chosen family or method requires."""
     value = getattr(args, name)
     if value is None:
         flag = "--" + name.replace("_", "-")
-        raise ValueError(f"{flag} is required for family {args.family}")
+        raise ValueError(f"{flag} is required for {choice} {getattr(args, choice)}")
     return value
-
-
-def _limits_from(args) -> SolverLimits:
-    max_n = args.max_n if args.max_n is not None else DEFAULT_LIMITS.max_n
-    return SolverLimits(max_n=max_n, max_subsets=args.max_subsets)
 
 
 def _partition_payload(part: HairyPartition) -> dict:
@@ -79,47 +75,46 @@ def _partition_payload(part: HairyPartition) -> dict:
     }
 
 
-def _cmd_gen(args) -> int:
-    meta: dict = {}
-    fam = args.family
-    if fam == "cycle":
-        G = gen_cycle(_req(args, "length"))
-    elif fam == "three-hub":
-        G, labels = gen_three_hub(_req(args, "k"))
-        meta["labels"] = {str(v): s for v, s in labels.items()}
-    elif fam == "tight-hairy":
-        G, part, labels = gen_tight_hairy(
-            _req(args, "n"), args.strongly_connected
-        )
-        meta["labels"] = {str(v): s for v, s in labels.items()}
-        meta["partition"] = _partition_payload(part)
-    elif fam == "random":
-        G = gen_random_digraph(
-            _req(args, "n"),
-            _req(args, "arc_prob"),
-            args.source_free,
-            _req(args, "seed"),
-        )
-    elif fam == "random-tournament":
-        G = gen_random_tournament(_req(args, "n"), _req(args, "seed"))
-    elif fam == "random-hairy":
-        G, part = gen_random_hairy(
-            _req(args, "m"), _req(args, "max_hairs"), _req(args, "seed")
-        )
-        meta["partition"] = _partition_payload(part)
-    else:
-        G, cycle = gen_random_unicyclic(_req(args, "n"), _req(args, "seed"))
-        meta["cycle"] = list(cycle)
-    text = format_graph(G)
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-        if meta:
-            Path(args.output + ".meta.json").write_text(
-                json.dumps(meta, indent=2) + "\n", encoding="utf-8"
-            )
-        print(f"wrote {args.output} ({G.n} vertices, {G.m} arcs)")
-    else:
+# family -> generator, the flags it takes in call order, and the sidecar key
+# of each value it returns after the graph
+_GEN = {
+    "cycle": (gen_cycle, ("length",), ()),
+    "three-hub": (gen_three_hub, ("k",), ("labels",)),
+    "tight-hairy": (gen_tight_hairy, ("n", "strongly_connected"), ("partition", "labels")),
+    "random": (gen_random_digraph, ("n", "arc_prob", "source_free", "seed"), ()),
+    "random-tournament": (gen_random_tournament, ("n", "seed"), ()),
+    "random-hairy": (gen_random_hairy, ("m", "max_hairs", "seed"), ("partition",)),
+    "random-unicyclic": (gen_random_unicyclic, ("n", "seed"), ("cycle",)),
+}
+
+# sidecar key -> its JSON form, in the order the keys are written
+_SIDECAR = {
+    "labels": lambda labels: {str(v): s for v, s in labels.items()},
+    "partition": _partition_payload,
+    "cycle": list,
+}
+
+
+def _write(args, text, summary, meta=None) -> None:
+    """Write text (and meta as FILE.meta.json) to -o and say so, else to stdout."""
+    if not args.output:
         sys.stdout.write(text)
+        return
+    Path(args.output).write_text(text, encoding="utf-8")
+    if meta:
+        Path(args.output + ".meta.json").write_text(
+            json.dumps(meta, indent=2) + "\n", encoding="utf-8"
+        )
+    print(f"wrote {args.output}{summary}")
+
+
+def _cmd_gen(args) -> int:
+    generate, flags, keys = _GEN[args.family]
+    made = generate(*[_req(args, f, "family") for f in flags])
+    G, *rest = made if keys else (made,)
+    extras = dict(zip(keys, rest))
+    meta = {k: form(extras[k]) for k, form in _SIDECAR.items() if k in extras}
+    _write(args, format_graph(G), f" ({G.n} vertices, {G.m} arcs)", meta)
     return 0
 
 
@@ -141,33 +136,52 @@ def _cmd_cl(args) -> int:
     return 0
 
 
+def _maybe(f, x):
+    return None if x is None else f(x)
+
+
+def _lists(sets) -> list:
+    return [sorted(s) for s in sets]
+
+
+def _smallest(G, q, limits) -> dict:
+    Q = smallest_q_kernel(G, q, limits)
+    return {"smallest": _maybe(sorted, Q), "size": _maybe(len, Q)}
+
+
+def _enumerate(G, q, limits) -> dict:
+    qks = enumerate_q_kernels(G, q, limits)
+    return {"q_kernels": _lists(qks), "count": len(qks)}
+
+
+def _kernels(G, q, limits) -> dict:
+    ks = enumerate_kernels(G, limits)
+    return {"kernels": _lists(ks), "count": len(ks)}
+
+
+def _kernel_perfect(G, q, limits) -> dict:
+    ok, witness = is_kernel_perfect(G, limits)
+    return {"kernel_perfect": ok, "witness": _maybe(sorted, witness)}
+
+
+def _disjoint_pair(G, q, limits) -> dict:
+    return {"pair": _maybe(_lists, has_two_disjoint_qks(G, q, limits))}
+
+
+# action flag -> its JSON payload on (graph, reach radius, limits)
+_SOLVE = {
+    "smallest": _smallest,
+    "enumerate": _enumerate,
+    "kernels": _kernels,
+    "kernel-perfect": _kernel_perfect,
+    "disjoint-pair": _disjoint_pair,
+}
+
+
 def _cmd_solve(args) -> int:
     G = load_graph(args.graph)
-    limits = _limits_from(args)
-    if args.smallest:
-        Q = smallest_q_kernel(G, args.q, limits)
-        payload = {
-            "smallest": None if Q is None else sorted(Q),
-            "size": None if Q is None else len(Q),
-        }
-    elif getattr(args, "enumerate"):
-        qks = enumerate_q_kernels(G, args.q, limits)
-        payload = {"q_kernels": [sorted(q) for q in qks], "count": len(qks)}
-    elif args.kernels:
-        ks = enumerate_kernels(G, limits)
-        payload = {"kernels": [sorted(k) for k in ks], "count": len(ks)}
-    elif args.kernel_perfect:
-        ok, witness = is_kernel_perfect(G, limits)
-        payload = {
-            "kernel_perfect": ok,
-            "witness": None if witness is None else sorted(witness),
-        }
-    else:
-        pair = has_two_disjoint_qks(G, args.q, limits)
-        payload = {
-            "pair": None if pair is None else [sorted(pair[0]), sorted(pair[1])]
-        }
-    print(json.dumps(payload, indent=2))
+    limits = SolverLimits(args.max_n, args.max_subsets)
+    print(json.dumps(_SOLVE[args.action](G, args.q, limits), indent=2))
     return 0
 
 
@@ -195,39 +209,38 @@ def _load_partition(path: str) -> HairyPartition:
     )
 
 
+def _hairy(G, args):
+    if args.partition is None:
+        part = HairyPartition.from_digraph(G)
+    else:
+        part = _load_partition(args.partition)
+    return hairy_small_qk(G, part, relaxed=args.relaxed)
+
+
+# method -> the flags it requires, and its runner on (graph, args)
+_CONSTRUCT = {
+    "good": (("qk",), lambda G, a: shrink_good_qk(G, a.qk)),
+    "complement": (
+        ("qk", "kernel"),
+        lambda G, a: small_qk_from_kernel_complement(G, a.qk, a.kernel),
+    ),
+    "hairy": ((), _hairy),
+    "unicyclic": ((), lambda G, a: unicyclic_small_qk(G)),
+}
+
+
 def _cmd_construct(args) -> int:
     G = load_graph(args.graph)
-    method = args.method
-    if method == "good":
-        if args.qk is None:
-            raise ValueError("--qk is required for method good")
-        trace = shrink_good_qk(G, frozenset(args.qk))
-    elif method == "complement":
-        if args.qk is None or args.kernel is None:
-            raise ValueError(
-                "--qk and --kernel are required for method complement"
-            )
-        trace = small_qk_from_kernel_complement(
-            G,
-            frozenset(args.qk),
-            frozenset(args.kernel),
-        )
-    elif method == "hairy":
-        if args.partition is not None:
-            part = _load_partition(args.partition)
-        else:
-            part = HairyPartition.from_digraph(G)
-        trace = hairy_small_qk(G, part, relaxed=args.relaxed)
-    else:
-        trace = unicyclic_small_qk(G)
+    flags, run = _CONSTRUCT[args.method]
+    for f in flags:
+        _req(args, f, "method")
+    trace = run(G, args)
     payload = {
         "method": trace.method,
         "result": sorted(trace.result),
         "size": trace.size,
         "bound": str(trace.bound),
-        "intermediates": {
-            k: sorted(v) for k, v in trace.intermediates.items()
-        },
+        "intermediates": {k: sorted(v) for k, v in trace.intermediates.items()},
     }
     print(json.dumps(payload, indent=2))
     return 0
@@ -242,7 +255,7 @@ _EXHAUSTIVE = {
 
 
 def _cmd_sweep(args) -> int:
-    limits = _limits_from(args)
+    limits = SolverLimits(args.max_n, args.max_subsets)
     seed_info = None
     if args.family == "random":
         n = args.n if args.n is not None else 8
@@ -268,16 +281,12 @@ def _cmd_sweep(args) -> int:
         family_desc=family_desc,
         seed_info=seed_info,
     )
-    out = report_emit(report, args.format)
-    if args.output:
-        Path(args.output).write_text(out, encoding="utf-8")
-        print(
-            f"wrote {args.output}: {report.passes} passes, "
-            f"{report.skips} skips, {len(report.violations)} violations, "
-            f"{report.aborted} aborted"
-        )
-    else:
-        sys.stdout.write(out)
+    _write(
+        args,
+        report_emit(report, args.format),
+        f": {report.passes} passes, {report.skips} skips, "
+        f"{len(report.violations)} violations, {report.aborted} aborted",
+    )
     if report.violations:
         return 1
     if report.aborted:
@@ -304,21 +313,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "solvers, constructions, and claim sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True)
+    limits = argparse.ArgumentParser(add_help=False)
+    limits.add_argument(
+        "--max-n", type=int, default=DEFAULT_LIMITS.max_n, help="vertex count guard"
+    )
+    limits.add_argument("--max-subsets", type=int, help="candidate budget")
 
     p_gen = sub.add_parser("gen", help="generate a graph and write it out")
-    p_gen.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "cycle",
-            "three-hub",
-            "tight-hairy",
-            "random",
-            "random-tournament",
-            "random-hairy",
-            "random-unicyclic",
-        ],
-    )
+    p_gen.add_argument("--family", required=True, choices=list(_GEN))
     p_gen.add_argument("--length", type=int, help="cycle length")
     p_gen.add_argument("--k", type=int, help="leaves per hub for three-hub")
     p_gen.add_argument("--n", type=int, help="size parameter")
@@ -335,8 +339,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_gen.set_defaults(func=_cmd_gen)
 
-    p_cl = sub.add_parser("cl", help="run the greedy two-scan algorithm")
-    p_cl.add_argument("--graph", required=True)
+    p_cl = sub.add_parser(
+        "cl", parents=[graph], help="run the greedy two-scan algorithm"
+    )
     order_group = p_cl.add_mutually_exclusive_group()
     order_group.add_argument("--order", type=_ints, help="comma separated permutation")
     order_group.add_argument("--seed", type=int, help="shuffle seed")
@@ -347,26 +352,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_cl.set_defaults(func=_cmd_cl)
 
-    p_solve = sub.add_parser("solve", help="exact search on small graphs")
-    p_solve.add_argument("--graph", required=True)
+    p_solve = sub.add_parser(
+        "solve", parents=[graph, limits], help="exact search on small graphs"
+    )
     action = p_solve.add_mutually_exclusive_group(required=True)
-    action.add_argument("--smallest", action="store_true")
-    action.add_argument("--enumerate", action="store_true")
-    action.add_argument("--kernels", action="store_true")
-    action.add_argument("--kernel-perfect", action="store_true")
-    action.add_argument("--disjoint-pair", action="store_true")
+    for name in _SOLVE:
+        action.add_argument(
+            "--" + name, dest="action", action="store_const", const=name
+        )
     p_solve.add_argument("--q", type=int, default=2, help="reach radius")
-    p_solve.add_argument("--max-n", type=int, help="vertex count guard")
-    p_solve.add_argument("--max-subsets", type=int, help="candidate budget")
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_con = sub.add_parser("construct", help="proof-driven constructions")
-    p_con.add_argument("--graph", required=True)
-    p_con.add_argument(
-        "--method",
-        required=True,
-        choices=["good", "complement", "hairy", "unicyclic"],
+    p_con = sub.add_parser(
+        "construct", parents=[graph], help="proof-driven constructions"
     )
+    p_con.add_argument("--method", required=True, choices=list(_CONSTRUCT))
     p_con.add_argument("--qk", type=_ints, help="comma separated quasi-kernel")
     p_con.add_argument(
         "--kernel", type=_ints, help="comma separated kernel of the rest"
@@ -375,33 +375,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("--relaxed", action="store_true")
     p_con.set_defaults(func=_cmd_construct)
 
-    p_sweep = sub.add_parser("sweep", help="run one claim over a family")
-    p_sweep.add_argument("--claim", required=True, choices=sorted(CLAIMS))
-    p_sweep.add_argument(
-        "--family",
-        required=True,
-        choices=[*_EXHAUSTIVE, "random"],
+    p_sweep = sub.add_parser(
+        "sweep", parents=[limits], help="run one claim over a family"
     )
+    p_sweep.add_argument("--claim", required=True, choices=sorted(CLAIMS))
+    p_sweep.add_argument("--family", required=True, choices=[*_EXHAUSTIVE, "random"])
     p_sweep.add_argument("--n", type=int, help="vertex count or max size")
     p_sweep.add_argument("--samples", type=int, default=100)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument(
-        "--format", choices=["json", "csv", "text"], default="json"
-    )
-    p_sweep.add_argument("--max-n", type=int, help="vertex count guard")
-    p_sweep.add_argument("--max-subsets", type=int, help="candidate budget")
+    p_sweep.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p_sweep.add_argument("-o", "--output", help="write the report here")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_check = sub.add_parser("check", help="verify a vertex set")
-    p_check.add_argument("--graph", required=True)
+    p_check = sub.add_parser("check", parents=[graph], help="verify a vertex set")
     p_check.add_argument("--set", required=True, type=_ints, help="comma separated set")
-    p_check.add_argument(
-        "--mode",
-        required=True,
-        choices=list(_MODES),
-    )
+    p_check.add_argument("--mode", required=True, choices=list(_MODES))
     p_check.add_argument("--q", type=int, help="radius for q-kernel mode")
     p_check.set_defaults(func=_cmd_check)
 

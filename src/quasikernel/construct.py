@@ -42,20 +42,28 @@ class ConstructionTrace:
         return len(self.result)
 
 
-def _finish(G, method, result, intermediates, bound) -> ConstructionTrace:
+def _verify_qk(G: Digraph, result, bound, what: str, trace=None) -> None:
+    """Raise VerificationError unless result is a quasi-kernel of at most bound.
+
+    what names the result in the message; a caller with no size guarantee
+    passes G.n, which every vertex set meets.
+    """
     check = is_q_kernel(G, result, 2)
     if not check:
         raise VerificationError(
-            f"{method} construction produced {sorted(result)}, which fails the "
-            f"quasi-kernel check with witness {check.witness}",
-            trace=intermediates,
+            f"{what} {sorted(result)} fails the quasi-kernel check, witness "
+            f"{check.witness}",
+            trace=trace,
         )
-    if Fraction(len(result)) > bound:
+    if len(result) > bound:
         raise VerificationError(
-            f"{method} construction result has {len(result)} vertices, above "
-            f"the size bound {bound}",
-            trace=intermediates,
+            f"{what} has {len(result)} vertices, above the size bound {bound}",
+            trace=trace,
         )
+
+
+def _finish(G, method, result, intermediates, bound) -> ConstructionTrace:
+    _verify_qk(G, result, bound, f"{method} construction result", intermediates)
     return ConstructionTrace(method, frozenset(result), dict(intermediates), bound)
 
 
@@ -376,27 +384,17 @@ def _validate_unicyclic(G: Digraph) -> list[int]:
     src = sources(G)
     if src:
         raise StructureError(f"source vertex {min(src)}")
-    # every in-degree is exactly 1 now; walk predecessors into the cycle
+    # every in-degree is exactly 1 now, so n predecessor steps end on the cycle
     pred = [G.in_adj[v][0] for v in range(n)]
-    visited = set()
     v = 0
-    while v not in visited:
-        visited.add(v)
+    for _ in range(n):
         v = pred[v]
-    members = {v}
-    u = pred[v]
-    while u != v:
-        members.add(u)
-        u = pred[u]
-    start = min(members)
-    cycle = [start]
-    u = start
-    while True:
-        u = next(w for w in G.out_adj[u] if w in members)
-        if u == start:
-            break
-        cycle.append(u)
-    return cycle
+    cycle = [v]
+    while pred[cycle[-1]] != v:
+        cycle.append(pred[cycle[-1]])
+    cycle.reverse()
+    start = cycle.index(min(cycle))
+    return cycle[start:] + cycle[:start]
 
 
 def unicyclic_small_qk(G: Digraph) -> ConstructionTrace:
@@ -470,13 +468,7 @@ def unicyclic_small_qk(G: Digraph) -> ConstructionTrace:
     for idx, cand in enumerate(candidates, start=1):
         inter[f"candidate_{idx}"] = cand
     for cand in candidates:
-        rep = is_q_kernel(G, cand, 2)
-        if not rep:
-            raise VerificationError(
-                f"cycle pattern candidate {sorted(cand)} failed verification, "
-                f"witness {rep.witness}",
-                trace=inter,
-            )
+        _verify_qk(G, cand, G.n, "cycle pattern candidate", inter)
     result = min(candidates, key=len)
     bound = {
         0: Fraction(G.n, 3),

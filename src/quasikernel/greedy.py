@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .construct import _require_source_free
-from .digraph import Digraph, VertexSet, _mask_of, _set_of, _union, is_q_kernel
-from .errors import PreconditionError, VerificationError
+from .construct import _require_source_free, _verify_qk
+from .digraph import Digraph, VertexSet
+from .errors import PreconditionError
 from .rng import SplitMix64
 
 
@@ -73,12 +74,7 @@ def cl_algorithm(G: Digraph, ordering: Ordering) -> VertexSet:
     first = _greedy_scan(closed1, ordering.perm)
     # phase 2 only tests picks, so G's masks act as those of the induced subgraph
     result = frozenset(_greedy_scan(closed1, reversed(first)))
-    check = is_q_kernel(G, result, 2)
-    if not check:
-        raise VerificationError(
-            f"greedy result {sorted(result)} failed the quasi-kernel check, "
-            f"witness {check.witness}"
-        )
+    _verify_qk(G, result, G.n, "greedy result")
     return result
 
 
@@ -129,19 +125,5 @@ def modified_cl(G: Digraph, ordering: Ordering) -> VertexSet:
             picks.append(v)
             remaining &= ~closed1[v]
     result = frozenset(picks)
-    left = remaining & ~_union(G.closed2_masks, _mask_of(picks, G.n))
-    if left:
-        raise VerificationError(
-            f"leftover vertices {sorted(_set_of(left))} escape the 2-step cover"
-        )
-    check = is_q_kernel(G, result, 2)
-    if not check:
-        raise VerificationError(
-            f"selection {sorted(result)} failed the quasi-kernel check, "
-            f"witness {check.witness}"
-        )
-    if 2 * len(result) > G.n:
-        raise VerificationError(
-            f"selection has {len(result)} vertices, above the n/2 bound"
-        )
+    _verify_qk(G, result, Fraction(G.n, 2), "selection")
     return result

@@ -25,11 +25,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def next_below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) via rejection sampling."""
+        """Uniform integer in [0, bound) via rejection sampling; bound <= 2**64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
-        # largest multiple of bound that fits in 64 bits
+        # largest multiple of bound that fits in 64 bits; none does above 2**64
         limit = (1 << 64) - ((1 << 64) % bound)
+        if not limit:
+            raise ValueError(f"bound must be at most 2**64, got {bound}")
         while True:
             x = self.next_u64()
             if x < limit:

@@ -32,7 +32,7 @@ class TestGen:
         code = main(["gen", "--family", "cycle", "--length", "4", "-o", str(out)])
         assert code == 0
         assert out.read_text() == "4 4\n0 1\n1 2\n2 3\n3 0\n"
-        assert "wrote" in capsys.readouterr().out
+        assert capsys.readouterr().out == f"wrote {out} (4 vertices, 4 arcs)\n"
         assert not (tmp_path / "c.txt.meta.json").exists()
 
     def test_cycle_to_stdout(self, capsys):
@@ -52,6 +52,26 @@ class TestGen:
         assert meta["partition"]["tournament_part"] == [0, 1, 2]
         assert len(meta["partition"]["hair_part"]) == 9
         assert meta["labels"]["a0"] == 0
+
+    def test_tight_hairy_sidecar_bytes(self, tmp_path, capsys):
+        out = tmp_path / "th.txt"
+        assert main(["gen", "--family", "tight-hairy", "--n", "1",
+                     "--strongly-connected", "-o", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out} (14 vertices, 23 arcs)\n"
+        hairs = range(3, 12)
+        labels = {f"a{i}": i for i in range(3)}
+        labels.update({f"h{i}_{j}": 3 + 3 * i + j for i in range(3) for j in range(3)})
+        labels.update(w1=12, w2=13)
+        meta = {
+            "labels": labels,
+            "partition": {
+                "tournament_part": [0, 1, 2],
+                "hair_part": list(hairs),
+                "owner": {str(h): (h - 3) // 3 for h in hairs},
+            },
+        }
+        text = (tmp_path / "th.txt.meta.json").read_text()
+        assert text == json.dumps(meta, indent=2) + "\n"
 
     def test_random_families(self, tmp_path):
         out = tmp_path / "g.txt"
@@ -156,6 +176,19 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["pair"] == [[0, 2], [1, 3]]
 
+    @pytest.mark.parametrize(
+        "action,payload",
+        [
+            ("--kernels", {"kernels": [[0, 2], [1, 3]], "count": 2}),
+            ("--disjoint-pair", {"pair": [[0, 2], [1, 3]]}),
+        ],
+    )
+    def test_payload_with_two_kernels(self, tmp_path, capsys, action, payload):
+        path = tmp_path / "c4.txt"
+        save_graph(gen_cycle(4), path)
+        assert main(["solve", "--graph", str(path), action]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
     def test_limit_exceeded(self, c5_file, capsys):
         assert main(["solve", "--graph", c5_file, "--smallest", "--max-n", "3"]) == 3
         assert "exceeds max_n" in capsys.readouterr().err
@@ -197,6 +230,9 @@ class TestConstruct:
         assert "--qk is required" in capsys.readouterr().err
         assert main(["construct", "--graph", c5_file, "--method", "complement",
                      "--qk", "0,2"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --kernel is required for method complement\n"
+        )
 
     def test_precondition_failure(self, tmp_path, capsys):
         path = tmp_path / "c3.txt"
@@ -279,7 +315,9 @@ class TestSweep:
         code = main(["sweep", "--claim", "spiro-sqrt", "--family",
                      "all-digraphs", "--n", "2", "-o", str(out)])
         assert code == 1
-        assert "1 violations" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            f"wrote {out}: 0 passes, 3 skips, 1 violations, 0 aborted\n"
+        )
         payload = json.loads(out.read_text())
         from test_sweep import _schema
 

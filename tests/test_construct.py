@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasikernel import construct
 from quasikernel.construct import (
     ConstructionTrace,
     HairyPartition,
@@ -279,6 +280,17 @@ class TestHairySmallQk:
         part = HairyPartition({0, 1, 2}, {3}, {3: 1})
         with pytest.raises(PreconditionError, match="sources"):
             hairy_small_qk(G, part)
+
+    def test_wrong_king_fails_verification(self, monkeypatch):
+        # 1 is not a king: it reaches 3 only in three steps
+        G = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (3, 1), (3, 2)])
+        monkeypatch.setattr(construct, "_blown_up_degrees", lambda G, p: {1: 1})
+        with pytest.raises(VerificationError) as exc:
+            hairy_small_qk(G, HairyPartition.from_digraph(G))
+        assert str(exc.value) == (
+            "hairy construction result [1] fails the quasi-kernel check, witness 3"
+        )
+        assert exc.value.trace["king"] == {1}
 
     def test_rejects_empty_tournament_part(self):
         with pytest.raises(PreconditionError, match="tournament part is empty"):

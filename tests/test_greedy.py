@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasikernel import greedy
 from quasikernel.digraph import Digraph, is_independent, is_q_kernel
-from quasikernel.errors import PreconditionError
+from quasikernel.errors import PreconditionError, VerificationError
 from quasikernel.generators import gen_random_digraph, gen_three_hub
 from quasikernel.greedy import (
     Ordering,
@@ -83,6 +84,11 @@ class TestClAlgorithm:
         sizes = {len(cl_algorithm(G, Ordering(p))) for p in permutations(range(6))}
         assert min(sizes) == 3
         assert max(sizes) == 3
+
+    def test_result_that_does_not_cover_raises(self, monkeypatch):
+        monkeypatch.setattr(greedy, "_greedy_scan", lambda closed1, perm: [])
+        with pytest.raises(VerificationError, match=r"greedy result \[\] fails .* witness 0"):
+            cl_algorithm(C3, Ordering.natural(3))
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
@@ -171,3 +177,19 @@ class TestModifiedCl:
             Q = modified_cl(G, ordering)
             assert 2 * len(Q) <= G.n
             assert is_q_kernel(G, Q, 2)
+
+    # a wrong closed1 view misleads the selection; the check reads closed2,
+    # built from the true view first, and the out-masks
+    def test_selection_that_does_not_cover_raises(self):
+        G = Digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
+        G.closed2_masks
+        G.__dict__["closed1_masks"] = (0b1111, 0b0011, 0b1100, 0b1100)
+        with pytest.raises(VerificationError, match=r"selection \[0\] fails .* witness 2"):
+            modified_cl(G, Ordering.natural(4))
+
+    def test_selection_above_half_raises(self):
+        G = Digraph(3, [(0, 2), (1, 2), (2, 0), (2, 1)])
+        G.closed2_masks
+        G.__dict__["closed1_masks"] = (0b001, 0b110, 0b111)
+        with pytest.raises(VerificationError, match="2 vertices, above the size bound 3/2"):
+            modified_cl(G, Ordering.natural(3))

@@ -72,3 +72,9 @@ def test_shuffle_handles_tiny_lists():
     rng.shuffle(empty)
     rng.shuffle(one)
     assert empty == [] and one == [9]
+
+
+def test_next_below_takes_bounds_up_to_two_to_the_64():
+    assert SplitMix64(0).next_below(1 << 64) == SEED0_STREAM[0]
+    with pytest.raises(ValueError, match=r"at most 2\*\*64, got 18446744073709551617"):
+        SplitMix64(0).next_below((1 << 64) + 1)
