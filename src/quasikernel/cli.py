@@ -27,7 +27,7 @@ from .generators import (
     gen_three_hub,
     gen_tight_hairy,
 )
-from .graphio import _int, format_graph, load_graph
+from .graphio import _MAX_VERTICES, _int, format_graph, load_graph
 from .greedy import Ordering, cl_algorithm, modified_cl
 from .solver import (
     DEFAULT_LIMITS,
@@ -179,6 +179,8 @@ _SOLVE = {
 
 
 def _cmd_solve(args) -> int:
+    if args.q < 1:
+        raise ValueError("q must be at least 1")
     G = load_graph(args.graph)
     limits = SolverLimits(args.max_n, args.max_subsets)
     print(json.dumps(_SOLVE[args.action](G, args.q, limits), indent=2))
@@ -259,6 +261,11 @@ def _cmd_sweep(args) -> int:
     seed_info = None
     if args.family == "random":
         n = args.n if args.n is not None else 8
+        if args.samples < 0:
+            raise ValueError(f"--samples must be non-negative, got {args.samples}")
+        # a violation's graph text must parse back, so n stays within parse_graph's cap
+        if not 2 <= n <= _MAX_VERTICES:
+            raise ValueError(f"--n must be between 2 and {_MAX_VERTICES}, got {n}")
         family = random_source_free_family(args.samples, n, args.seed)
         family_desc = f"random(samples={args.samples}, max_n={n})"
         seed_info = f"seed={args.seed}"
@@ -319,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     limits.add_argument(
         "--max-n", type=int, default=DEFAULT_LIMITS.max_n, help="vertex count guard"
     )
-    limits.add_argument("--max-subsets", type=int, help="candidate budget")
+    limits.add_argument("--max-subsets", type=int, help="vertices the search may try")
 
     p_gen = sub.add_parser("gen", help="generate a graph and write it out")
     p_gen.add_argument("--family", required=True, choices=list(_GEN))

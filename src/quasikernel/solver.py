@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .digraph import Digraph, VertexSet, _bits, _set_of, out_neighbors, sources
+from .digraph import Digraph, VertexSet, _reach, _set_of, out_neighbors, sources
 from .errors import ResourceLimitError
 
 
@@ -15,10 +15,9 @@ class SolverLimits:
     """Size and work caps for the exhaustive searches.
 
     max_n caps the vertex count.  max_subsets caps the search nodes a call
-    may visit, None meaning no cap.  In the enumeration searches a node is
-    one candidate independent set, tried in ascending vertex order.  In
-    smallest_q_kernel and q_kernel_at_most, which branch on the lowest
-    vertex not yet covered, a node is one branch or one vertex tried.
+    may visit, None meaning no cap.  Every solver runs the one set-cover
+    search, and a node is one vertex tried: by that search, or by the scans
+    smallest_q_kernel makes around it for a lone vertex and for the witness.
     """
 
     max_n: int = 24
@@ -54,54 +53,71 @@ def _budget(G: Digraph, limits: SolverLimits) -> _Budget:
     return _Budget(limits.max_subsets)
 
 
-def _hit_masks(reach, und, full: int, budget: _Budget):
-    """Yield independent-set masks of G[full] whose closure covers full.
+def _search(G: Digraph, q: int, budget: _Budget, visit):
+    """The one exact search, as rec(members, cover, allowed, k) on G at radius q.
 
-    reach holds G[full]'s per-vertex closure masks, 0 outside full, and und
-    G's undirected-neighbour masks.  Vertices outside full start banned, so
-    node counts match a search on G[full].  Only closed1_masks cut to full
-    give G[full]'s own closures; at q >= 2 full must be all of V.
-
-    DFS over ascending vertex indices, so hits come out in lexicographic
-    order of their sorted member tuples.  Supersets of a hit are explored
-    too since they may also be hits.
+    Set-cover branching (Fomin and Kratsch, Exact Exponential Algorithms,
+    2010): some member of every q-kernel reaches the lowest uncovered vertex
+    u within q steps, so while cover is incomplete rec tries each allowed
+    such vertex in ascending order, barring the siblings tried before it,
+    and adds at most k more members.  Once cover is full it calls
+    visit(members), then extends members by each independent subset of
+    allowed.  So visit meets every independent extension of members within
+    allowed that completes cover exactly once, and rec returns True as soon
+    as visit does.  Every vertex tried costs one budget node.
     """
-    if full == 0:
-        yield 0
-        return
-    n = len(reach)
-    suffix = [0] * (n + 1)
-    for v in range(n - 1, -1, -1):
-        suffix[v] = suffix[v + 1] | reach[v]
+    full, reach, und = G.full_mask, G.reach_masks(q), G.undirected_masks
+    # in-reach rows are built on first use: a small search needs few, and
+    # building all n up front read about 7% slower on exhaustive-pool (10 s
+    # runs, 2 shared cores, Python 3.11)
+    in_reach = [None] * G.n
 
-    def rec(start, members, banned, cover):
-        for v in range(start, n):
-            bit = 1 << v
-            if banned & bit:
-                continue
-            if cover | suffix[v] != full:
-                # no extension using vertices >= v can complete the cover
-                break
+    # walks its masks by hand: through _bits the sparse n = 28/32 solves ran
+    # about 40% slower
+    def rec(members, cover, allowed, k):
+        missing = full & ~cover
+        if missing:
+            if k == 0:
+                return False
+            u = (missing & -missing).bit_length() - 1
+            row = in_reach[u]
+            if row is None:
+                row = in_reach[u] = _reach(G.in_masks, 1 << u, q)
+            branches = row & allowed
+        elif visit(members):
+            return True
+        else:
+            branches = allowed
+        while branches:
+            bit = branches & -branches
+            branches ^= bit
+            allowed ^= bit
             budget.spend()
-            new_cover = cover | reach[v]
-            if new_cover == full:
-                yield members | bit
-            yield from rec(v + 1, members | bit, banned | bit | und[v], new_cover)
+            v = bit.bit_length() - 1
+            if rec(members | bit, cover | reach[v], allowed & ~und[v], k - 1):
+                return True
+        return False
 
-    yield from rec(0, 0, ~full, 0)
+    return rec
 
 
-def _iter_hits(G, q, limits):
-    budget = _budget(G, limits)
-    return _hit_masks(G.reach_masks(q), G.undirected_masks, G.full_mask, budget)
+def _first(members) -> bool:
+    return True
+
+
+def _any_q_kernel(G: Digraph, q: int, limits: SolverLimits | None, visit) -> bool:
+    """Call visit on each q-kernel mask of G until it returns True; whether it did."""
+    budget = _budget(G, limits or DEFAULT_LIMITS)
+    return _search(G, q, budget, visit)(0, 0, G.full_mask, G.n)
 
 
 def enumerate_q_kernels(G: Digraph, q: int = 2, limits: SolverLimits | None = None):
     """All q-kernels of G, sorted by size and then lexicographically."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    limits = limits or DEFAULT_LIMITS
-    sets = [_set_of(m) for m in _iter_hits(G, q, limits)]
+    hits = []
+    _any_q_kernel(G, q, limits, hits.append)
+    sets = [_set_of(m) for m in hits]
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
@@ -111,8 +127,7 @@ def enumerate_kernels(G: Digraph, limits: SolverLimits | None = None):
 
 
 def has_kernel(G: Digraph, limits: SolverLimits | None = None) -> bool:
-    limits = limits or DEFAULT_LIMITS
-    return next(_iter_hits(G, 1, limits), None) is not None
+    return _any_q_kernel(G, 1, limits, _first)
 
 
 def _smallest(
@@ -120,15 +135,11 @@ def _smallest(
 ) -> VertexSet | None:
     """Lexicographically smallest minimum q-kernel if it has at most cap members.
 
-    Set-cover branching (Fomin and Kratsch, Exact Exponential Algorithms,
-    2010): some member of every q-kernel reaches the lowest uncovered vertex u
-    within q steps, so a search that tries each such vertex in ascending
-    order, barring the siblings tried before it, misses no kernel.  Sizes are
-    tried in ascending order, so the first size that succeeds is the minimum.
-    The witness is then fixed one member at a time, each the lowest vertex
-    that still has a completion of the remaining size above it, which makes
-    it the lexicographically smallest set of that size.  Every branch and
-    every vertex tried costs one budget node.
+    Sizes are tried in ascending order, so the first size at which the search
+    finds a q-kernel is the minimum.  The witness is then fixed one member at
+    a time, each the lowest vertex that still has a completion of the
+    remaining size above it, which makes it the lexicographically smallest
+    set of that size.  Each vertex tried there costs one budget node too.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -139,37 +150,15 @@ def _smallest(
     if cap < 1:
         return None
     reach = G.reach_masks(q)
+    # a lone vertex that reaches all of V answers most small graphs; this scan
+    # spares them the masks the search builds
     for v in range(n):
         budget.spend()
         if reach[v] == full:
             return frozenset({v})
-    in_reach = [0] * n
-    for v, m in enumerate(reach):
-        for u in _bits(m):
-            in_reach[u] |= 1 << v
     und = G.undirected_masks
-
-    # The branch loop here and the witness loop below walk their masks by
-    # hand: through _bits the sparse n = 28/32 solves ran about 40% slower.
-    def completes(cover, allowed, k):
-        """Whether at most k independent vertices of allowed finish cover."""
-        missing = full & ~cover
-        if not missing:
-            return True
-        if k == 0:
-            return False
-        branches = in_reach[(missing & -missing).bit_length() - 1] & allowed
-        while branches:
-            bit = branches & -branches
-            branches ^= bit
-            allowed ^= bit
-            budget.spend()
-            v = bit.bit_length() - 1
-            if completes(cover | reach[v], allowed & ~und[v], k - 1):
-                return True
-        return False
-
-    size = next((k for k in range(2, min(cap, n) + 1) if completes(0, full, k)), None)
+    completes = _search(G, q, budget, _first)
+    size = next((k for k in range(2, min(cap, n) + 1) if completes(0, 0, full, k)), None)
     if size is None:
         return None
     members, cover, allowed = [], 0, full
@@ -181,7 +170,7 @@ def _smallest(
             budget.spend()
             v = bit.bit_length() - 1
             above = rest & ~und[v]
-            if completes(cover | reach[v], above, left):
+            if completes(0, cover | reach[v], above, left):
                 break
         members.append(v)
         cover |= reach[v]
@@ -226,14 +215,12 @@ def is_kernel_perfect(G: Digraph, limits: SolverLimits | None = None):
     Returns (True, None) or (False, witness) where witness is the first
     kernel-free vertex subset in size-ascending, then lexicographic, order.
     """
-    limits = limits or DEFAULT_LIMITS
-    budget = _budget(G, limits)
-    closed1, und = G.closed1_masks, G.undirected_masks
+    budget = _budget(G, limits or DEFAULT_LIMITS)
+    has_kernel_on = _search(G, 1, budget, _first)
     for size in range(1, G.n + 1):
         for combo in combinations(range(G.n), size):
             W = sum(1 << v for v in combo)
-            reach = [c & W if (W >> v) & 1 else 0 for v, c in enumerate(closed1)]
-            if next(_hit_masks(reach, und, W, budget), None) is None:
+            if not has_kernel_on(0, G.full_mask & ~W, W, size):
                 return False, frozenset(combo)
     return True, None
 

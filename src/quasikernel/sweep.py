@@ -33,7 +33,7 @@ from .rng import SplitMix64
 from .solver import (
     DEFAULT_LIMITS,
     SolverLimits,
-    _iter_hits,
+    _any_q_kernel,
     enumerate_q_kernels,
     has_kernel,
     is_kernel_perfect,
@@ -185,9 +185,8 @@ def _check_spiro(G, limits):
 
 
 def _check_large_exists(G, limits):
-    for mask in _iter_hits(G, 2, limits):
-        if is_large_qk(G, _set_of(mask)):
-            return True, None
+    if _any_q_kernel(G, 2, limits, lambda mask: bool(is_large_qk(G, _set_of(mask)))):
+        return True, None
     return False, "no quasi-kernel reaches half the vertices within one step"
 
 

@@ -152,7 +152,10 @@ class TestSolve:
         assert main(["solve", "--graph", str(path), "--smallest", "--q", "1"]) == 0
         assert json.loads(capsys.readouterr().out) == {"smallest": None, "size": None}
 
-    @pytest.mark.parametrize("action", ["--smallest", "--enumerate"])
+    @pytest.mark.parametrize(
+        "action",
+        ["--smallest", "--enumerate", "--kernels", "--kernel-perfect", "--disjoint-pair"],
+    )
     def test_bad_q(self, c5_file, capsys, action):
         assert main(["solve", "--graph", c5_file, action, "--q", "0"]) == 2
         assert "q must be at least 1" in capsys.readouterr().err
@@ -370,6 +373,18 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "capped at n=5" in err and "note:" not in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--n", "1"], "--n must be between 2 and 65536, got 1"),
+         (["--n", "10" * 10], f"--n must be between 2 and 65536, got {'10' * 10}"),
+         (["--samples", "-3"], "--samples must be non-negative, got -3")],
+        ids=["n-one", "n-huge", "samples-negative"],
+    )
+    def test_bad_random_family_input_names_its_flag(self, capsys, flags, message):
+        code = main(["sweep", "--claim", "small-qk", "--family", "random", *flags])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_claim(self):
         assert main(["sweep", "--claim", "fermat", "--family", "random"]) == 2

@@ -28,7 +28,12 @@ from quasikernel.solver import (
     smallest_q_kernel,
 )
 
-from oracles import brute_is_kernel_perfect, brute_q_kernels, brute_smallest
+from oracles import (
+    brute_is_kernel_perfect,
+    brute_kernels,
+    brute_q_kernels,
+    brute_smallest,
+)
 from strategies import digraphs, source_free_digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -87,6 +92,11 @@ class TestKernels:
 
     def test_kernel_of_path(self):
         assert enumerate_kernels(PATH) == (frozenset({0, 2}),)
+
+    @settings(max_examples=80, deadline=None)
+    @given(digraphs(max_n=6))
+    def test_has_kernel_matches_oracle(self, G):
+        assert has_kernel(G) == bool(brute_kernels(G))
 
 
 class TestSmallest:
@@ -220,6 +230,14 @@ class TestLimits:
         G = gen_random_digraph(56, 0.05, True, 392)
         limits = SolverLimits(max_n=64, max_subsets=1_000_000)
         assert sorted(smallest_q_kernel(G, 2, limits)) == [2, 3, 4, 13, 21, 45, 46, 47]
+
+    @pytest.mark.parametrize("seed, expected", [(336000, True), (336002, False)])
+    def test_kernel_existence_stops_within_budget(self, seed, expected):
+        # set-cover branching needs 3,940 and 2,845 nodes here; an ascending
+        # search over independent sets needs 61,318 and 26,139
+        G = gen_random_digraph(48, 0.06, False, seed)
+        limits = SolverLimits(max_n=64, max_subsets=10_000)
+        assert has_kernel(G, limits) is expected
 
     @pytest.mark.parametrize("length, nodes", [(3, 9), (4, 24), (6, 147)])
     def test_kernel_perfect_node_count(self, length, nodes):

@@ -15,6 +15,7 @@ from quasikernel.generators import (
     enumerate_all_digraphs,
     enumerate_all_tournaments,
     gen_cycle,
+    gen_random_digraph,
 )
 from quasikernel.graphio import format_graph
 from quasikernel.solver import SolverLimits
@@ -28,6 +29,8 @@ from quasikernel.sweep import (
     run_claim,
     verify_set,
 )
+
+from oracles import brute_q_kernels, set_reach
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C4 = gen_cycle(4)
@@ -108,6 +111,20 @@ class TestRunClaim:
                 == report.instances
             )
             assert report.instances == 64
+
+    def test_large_qk_exists_matches_brute_force(self):
+        # every quasi-kernel on n <= 4 vertices is large; 48 of the random
+        # graphs also have ones that are not, which the search must pass over
+        graphs = [G for n in range(5) for G in enumerate_all_digraphs(n)]
+        graphs += [
+            gen_random_digraph(5 + s % 4, 0.1 + 0.002 * s, False, s) for s in range(300)
+        ]
+        check = CLAIMS["large-qk-exists"].check
+        for G in graphs:
+            expected = any(
+                2 * len(set_reach(G, Q, 1)) >= G.n for Q in brute_q_kernels(G)
+            )
+            assert check(G, SolverLimits())[0] == expected
 
     def test_spiro_violation_on_the_two_cycle(self):
         report = run_claim(
