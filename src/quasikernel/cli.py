@@ -326,7 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     limits.add_argument(
         "--max-n", type=int, default=DEFAULT_LIMITS.max_n, help="vertex count guard"
     )
-    limits.add_argument("--max-subsets", type=int, help="vertices the search may try")
+    limits.add_argument(
+        "--max-subsets",
+        type=int,
+        default=DEFAULT_LIMITS.max_subsets,
+        help="vertices the search may try",
+    )
 
     p_gen = sub.add_parser("gen", help="generate a graph and write it out")
     p_gen.add_argument("--family", required=True, choices=list(_GEN))

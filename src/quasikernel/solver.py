@@ -15,13 +15,14 @@ class SolverLimits:
     """Size and work caps for the exhaustive searches.
 
     max_n caps the vertex count.  max_subsets caps the search nodes a call
-    may visit, None meaning no cap.  Every solver runs the one set-cover
-    search, and a node is one vertex tried: by that search, or by the scans
-    smallest_q_kernel makes around it for a lone vertex and for the witness.
+    may visit, None meaning no cap; the default of 10M nodes is about 10 s
+    of search.  Every solver runs the one set-cover search, and a node is
+    one vertex tried: by that search, or by the scans smallest_q_kernel
+    makes around it for a lone vertex and for the witness.
     """
 
     max_n: int = 24
-    max_subsets: int | None = None
+    max_subsets: int | None = 10_000_000
 
     def __post_init__(self):
         if self.max_n < 0:
@@ -65,6 +66,17 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     allowed.  So visit meets every independent extension of members within
     allowed that completes cover exactly once, and rec returns True as soon
     as visit does.  Every vertex tried costs one budget node.
+
+    A packing bound, the standard lower bound of dominating-set branch and
+    bound (van Rooij and Bodlaender, "Exact algorithms for dominating set",
+    Discrete Applied Mathematics 159, 2011), cuts a branch that cannot
+    finish within k: uncovered vertices whose allowed in-reach rows are
+    pairwise disjoint each need a member of their own, and an uncovered
+    vertex with an empty row needs one that no longer exists.  The walk
+    runs only while k is below the number of uncovered vertices, the one
+    case where the count can exceed k; enumeration, has_kernel and
+    is_kernel_perfect start with k at least that number, and k minus it
+    never falls, so they never pay for the walk.
     """
     full, reach, und = G.full_mask, G.reach_masks(q), G.undirected_masks
     # in-reach rows are built on first use: a small search needs few, and
@@ -84,6 +96,23 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
             if row is None:
                 row = in_reach[u] = _reach(G.in_masks, 1 << u, q)
             branches = row & allowed
+            if k < missing.bit_count():
+                used, need, rest = 0, 0, missing
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    w = bit.bit_length() - 1
+                    row = in_reach[w]
+                    if row is None:
+                        row = in_reach[w] = _reach(G.in_masks, bit, q)
+                    row &= allowed
+                    if not row:
+                        return False
+                    if not row & used:
+                        used |= row
+                        need += 1
+                        if need > k:
+                            return False
         elif visit(members):
             return True
         else:
@@ -140,6 +169,10 @@ def _smallest(
     a time, each the lowest vertex that still has a completion of the
     remaining size above it, which makes it the lexicographically smallest
     set of that size.  Each vertex tried there costs one budget node too.
+    The set the size search found guides that walk: while the witness so far
+    is a prefix of it, its next member is taken without a search, since the
+    rest of it completes the cover.  Once a lower vertex has a completion
+    of its own, the witness leaves that set and the guide is dropped.
     """
     if q < 1:
         raise ValueError("q must be at least 1")
@@ -157,10 +190,17 @@ def _smallest(
         if reach[v] == full:
             return frozenset({v})
     und = G.undirected_masks
-    completes = _search(G, q, budget, _first)
+    found = []
+
+    def keep(members):
+        found.append(members)
+        return True
+
+    completes = _search(G, q, budget, keep)
     size = next((k for k in range(2, min(cap, n) + 1) if completes(0, 0, full, k)), None)
     if size is None:
         return None
+    guide = found[0]
     members, cover, allowed = [], 0, full
     for left in range(size - 1, -1, -1):
         rest = allowed
@@ -170,7 +210,10 @@ def _smallest(
             budget.spend()
             v = bit.bit_length() - 1
             above = rest & ~und[v]
+            if bit & guide:
+                break
             if completes(0, cover | reach[v], above, left):
+                guide = 0
                 break
         members.append(v)
         cover |= reach[v]

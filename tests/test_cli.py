@@ -5,10 +5,11 @@ import json
 import jsonschema
 import pytest
 
-from quasikernel.cli import main
+from quasikernel.cli import _build_parser, main
 from quasikernel.graphio import load_graph, save_graph
 from quasikernel.generators import gen_cycle
 from quasikernel.digraph import Digraph
+from quasikernel.solver import DEFAULT_LIMITS
 from quasikernel.sweep import _MODES
 
 
@@ -199,6 +200,17 @@ class TestSolve:
     def test_budget_exceeded(self, c5_file):
         assert main(["solve", "--graph", c5_file, "--smallest",
                      "--max-subsets", "1"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "--graph", "g.txt", "--smallest"],
+         ["sweep", "--claim", "small-qk", "--family", "random"]],
+    )
+    def test_limits_default_to_the_library_defaults(self, argv):
+        args = _build_parser().parse_args(argv)
+        assert (args.max_n, args.max_subsets) == (
+            DEFAULT_LIMITS.max_n, DEFAULT_LIMITS.max_subsets
+        )
 
     @pytest.mark.parametrize("flag", ["--max-n", "--max-subsets"])
     def test_negative_limit_is_a_usage_error(self, c5_file, capsys, flag):

@@ -144,7 +144,8 @@ class TestSmallest:
             q_kernel_at_most(C4, 2, -1)
 
     def test_matches_enumeration(self):
-        # enumeration keeps the ascending-order DFS, an independent reference
+        # enumeration never takes the packing bound or the witness guide, so
+        # it stays an independent reference for both
         rng = SplitMix64(2024)
         for _ in range(400):
             n = 2 + rng.next_below(11)
@@ -158,6 +159,25 @@ class TestSmallest:
                 for k in range(n + 1):
                     got = q_kernel_at_most(G, q, k)
                     assert (got is None) == (k < k_min), (G.arcs, q, k)
+
+    def test_sparse_matches_oracle(self):
+        # sparse source-free graphs have minimums of 3 to 6 members, where the
+        # packing bound cuts and the witness walk can leave its guide
+        rng = SplitMix64(77)
+        sizes = set()
+        for _ in range(40):
+            n = 10 + rng.next_below(2)
+            G = gen_random_digraph(n, 0.12, True, rng.next_u64())
+            for q in (1, 2, 3):
+                best = brute_smallest(G, q)
+                assert smallest_q_kernel(G, q) == best, (G.arcs, q)
+                k_min = len(best) if best is not None else n + 1
+                for k in (k_min - 1, k_min):
+                    got = q_kernel_at_most(G, q, k)
+                    assert got == (best if k >= k_min else None), (G.arcs, q, k)
+                if best is not None:
+                    sizes.add(k_min)
+        assert max(sizes) >= 5
 
 
 class TestRelabelling:
@@ -226,9 +246,10 @@ class TestLimits:
             enumerate_q_kernels(gen_cycle(6), 2, limits)
 
     def test_sparse_search_stays_within_budget(self):
-        # an ascending-order search over independent sets needs about 3.97M nodes here
+        # set-cover branching with the packing bound and the witness guide
+        # needs 6,323 nodes here, and 147,039 without them
         G = gen_random_digraph(56, 0.05, True, 392)
-        limits = SolverLimits(max_n=64, max_subsets=1_000_000)
+        limits = SolverLimits(max_n=64, max_subsets=20_000)
         assert sorted(smallest_q_kernel(G, 2, limits)) == [2, 3, 4, 13, 21, 45, 46, 47]
 
     @pytest.mark.parametrize("seed, expected", [(336000, True), (336002, False)])
@@ -253,7 +274,7 @@ class TestLimits:
 
     def test_default_limits(self):
         assert DEFAULT_LIMITS.max_n == 24
-        assert DEFAULT_LIMITS.max_subsets is None
+        assert DEFAULT_LIMITS.max_subsets == 10_000_000
 
     @pytest.mark.parametrize(
         "kwargs, fragment",
