@@ -179,11 +179,14 @@ _SOLVE = {
 
 
 def _cmd_solve(args) -> int:
-    if args.q < 1:
+    q = 2 if args.q is None else args.q
+    if q < 1:
         raise ValueError("q must be at least 1")
+    if args.q is not None and args.action in ("kernels", "kernel-perfect"):
+        raise ValueError(f"--{args.action} takes no --q")
     G = load_graph(args.graph)
     limits = SolverLimits(args.max_n, args.max_subsets)
-    print(json.dumps(_SOLVE[args.action](G, args.q, limits), indent=2))
+    print(json.dumps(_SOLVE[args.action](G, q, limits), indent=2))
     return 0
 
 
@@ -266,6 +269,8 @@ def _cmd_sweep(args) -> int:
         # a violation's graph text must parse back, so n stays within parse_graph's cap
         if not 2 <= n <= _MAX_VERTICES:
             raise ValueError(f"--n must be between 2 and {_MAX_VERTICES}, got {n}")
+        if n > args.max_n:
+            raise ValueError(f"--n {n} is above the solver's --max-n {args.max_n}")
         family = random_source_free_family(args.samples, n, args.seed)
         family_desc = f"random(samples={args.samples}, max_n={n})"
         seed_info = f"seed={args.seed}"
@@ -372,7 +377,9 @@ def _build_parser() -> argparse.ArgumentParser:
         action.add_argument(
             "--" + name, dest="action", action="store_const", const=name
         )
-    p_solve.add_argument("--q", type=int, default=2, help="reach radius")
+    p_solve.add_argument(
+        "--q", type=int, help="reach radius, default 2; not for kernel actions"
+    )
     p_solve.set_defaults(func=_cmd_solve)
 
     p_con = sub.add_parser(

@@ -135,8 +135,8 @@ def small_qk_from_kernel_complement(G: Digraph, qk, kernel) -> ConstructionTrace
     V splits into the quasi-kernel A, its out-neighbourhood B, and the
     remainder C; kernel must be a kernel of the subgraph induced on C.  Two
     candidates are assembled, the kernel plus two pieces of A recovered
-    through B, and A minus a redundant piece; the smaller verified candidate
-    is returned and at least one of them fits under n/2.
+    through B, and A minus a redundant piece.  Both are re-verified as
+    quasi-kernels and the smaller is returned; at least one fits under n/2.
     """
     A = frozenset(qk)
     K = frozenset(kernel)
@@ -187,27 +187,10 @@ def small_qk_from_kernel_complement(G: Digraph, qk, kernel) -> ConstructionTrace
         "Q1": _set_of(q1_mask),
         "Q2": _set_of(q2_mask),
     }
-    abc = a_mask.bit_count() + b_mask.bit_count() + c_mask.bit_count()
-    big1 = 2 * (
-        k_mask.bit_count() + ap_mask.bit_count() + f_mask.bit_count()
-    ) > abc
-    big2 = a_mask.bit_count() > 2 * f1_mask.bit_count() + b_mask.bit_count() + c_mask.bit_count()
-    if big1 and big2:
-        raise VerificationError(
-            "both candidates exceed n/2 at once, which the size accounting "
-            "rules out",
-            trace=inter,
-        )
-    verified = []
-    for mask in (q1_mask, q2_mask):
-        cand = _set_of(mask)
-        if is_q_kernel(G, cand, 2):
-            verified.append(cand)
-    if not verified:
-        raise VerificationError(
-            "neither assembled candidate is a quasi-kernel", trace=inter
-        )
-    result = min(verified, key=lambda s: (len(s), tuple(sorted(s))))
+    cands = (_set_of(q1_mask), _set_of(q2_mask))
+    for cand in cands:
+        _verify_qk(G, cand, n, "complement candidate", inter)
+    result = min(cands, key=lambda s: (len(s), tuple(sorted(s))))
     return _finish(G, "complement", result, inter, Fraction(n, 2))
 
 
@@ -316,13 +299,9 @@ def hairy_small_qk(
         raise PreconditionError("tournament part is empty")
     degs = _blown_up_degrees(G, partition)
     king = max(sorted(degs), key=degs.__getitem__)
-    hairs_of = {a: [] for a in partition.tournament_part}
-    for h in sorted(partition.hair_part):
-        hairs_of[partition.owner[h]].append(h)
-    a_mask = _mask_of(partition.tournament_part, G.n)
     q_mask = 1 << king
-    for a in _bits(G.in_masks[king] & a_mask):
-        for h in hairs_of[a]:
+    for h, a in partition.owner.items():
+        if G.in_masks[king] >> a & 1:
             q_mask |= 1 << h
     q_mask &= ~G.out_masks[king]
     inter = {
@@ -410,69 +389,54 @@ def unicyclic_small_qk(G: Digraph) -> ConstructionTrace:
     """
     cycle = _validate_unicyclic(G)
     l = len(cycle)
-    on_cycle = [False] * G.n
-    for v in cycle:
-        on_cycle[v] = True
-    trees: dict[int, dict[int, list[int]]] = {}
-    for i, root in enumerate(cycle, start=1):
-        levels = {1: [], 2: [], 3: []}
-        frontier = [root]
-        depth = 0
+    off_cycle = G.full_mask & ~_mask_of(cycle, G.n)
+    # trees[i][r]: the out-tree of cycle[i] at the depths that are r mod 3
+    trees = []
+    for root in cycle:
+        levels = [0, 0, 0]
+        frontier, depth = 1 << root, 0
         while frontier:
             depth += 1
-            nxt = []
-            for u in frontier:
-                for w in G.out_adj[u]:
-                    if not on_cycle[w]:
-                        nxt.append(w)
-            levels[depth % 3 or 3].extend(nxt)
-            frontier = nxt
-        trees[i] = levels
+            frontier = _union(G.out_masks, frontier) & off_cycle
+            levels[depth % 3] |= frontier
+        trees.append(levels)
     s3 = l % 3
     if s3 == 0:
         patterns = [
-            list(range(1, l + 1, 3)),
-            list(range(2, l + 1, 3)),
-            list(range(3, l + 1, 3)),
+            set(range(1, l + 1, 3)),
+            set(range(2, l + 1, 3)),
+            set(range(3, l + 1, 3)),
         ]
     elif s3 == 2:
         patterns = [
-            list(range(2, l + 1, 3)),
-            list(range(1, l, 3)),
-            [1] + list(range(3, l - 1, 3)),
+            set(range(2, l + 1, 3)),
+            set(range(1, l, 3)),
+            {1, *range(3, l - 1, 3)},
         ]
     else:
         s = l // 3
         patterns = [
-            list(range(1, 3 * s - 1, 3)) + [3 * s],
-            list(range(2, 3 * s, 3)) + [3 * s + 1],
-            [1] + list(range(3, 3 * s + 1, 3)),
+            {*range(1, 3 * s - 1, 3), 3 * s},
+            {*range(2, 3 * s, 3), 3 * s + 1},
+            {1, *range(3, 3 * s + 1, 3)},
         ]
     candidates = []
-    for pattern in patterns:
-        pat = set(pattern)
-        chosen = {cycle[i - 1] for i in pat}
+    for pat in patterns:
+        chosen = _mask_of((cycle[i - 1] for i in pat), G.n)
         for i in range(1, l + 1):
-            pred_pos = i - 1 if i > 1 else l
             if i in pat:
-                allowed = (3, 2)
-            elif pred_pos in pat:
+                allowed = (0, 2)
+            elif (i - 2) % l + 1 in pat:
                 allowed = (2, 1)
             else:
                 allowed = (1,)
-            counts = {d: len(trees[i][d]) for d in allowed}
-            best = min(allowed, key=lambda d: (counts[d], allowed.index(d)))
-            chosen.update(trees[i][best])
-        candidates.append(frozenset(chosen))
+            chosen |= min((trees[i - 1][r] for r in allowed), key=int.bit_count)
+        candidates.append(_set_of(chosen))
     inter = {"cycle": frozenset(cycle)}
     for idx, cand in enumerate(candidates, start=1):
         inter[f"candidate_{idx}"] = cand
     for cand in candidates:
         _verify_qk(G, cand, G.n, "cycle pattern candidate", inter)
     result = min(candidates, key=len)
-    bound = {
-        0: Fraction(G.n, 3),
-        1: Fraction(G.n + 2, 3),
-        2: Fraction(G.n + 1, 3),
-    }[s3]
+    bound = Fraction(G.n + (0, 2, 1)[s3], 3)
     return _finish(G, "unicyclic", result, inter, bound)

@@ -270,5 +270,9 @@ def is_kernel_perfect(G: Digraph, limits: SolverLimits | None = None):
 
 def kls_bound(G: Digraph) -> Fraction:
     """(n + #sources - |out-neighbourhood of the sources|) / 2, exactly."""
+    return Fraction(_twice_kls_bound(G), 2)
+
+
+def _twice_kls_bound(G: Digraph) -> int:
     S = sources(G)
-    return Fraction(G.n + len(S) - len(out_neighbors(G, S)), 2)
+    return G.n + len(S) - len(out_neighbors(G, S))

@@ -9,7 +9,6 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -34,6 +33,7 @@ from .solver import (
     DEFAULT_LIMITS,
     SolverLimits,
     _any_q_kernel,
+    _twice_kls_bound,
     enumerate_q_kernels,
     has_kernel,
     is_kernel_perfect,
@@ -87,23 +87,23 @@ def _applies_source_free(G, limits):
     return not sources(G)
 
 
-def _check_small_qk(G, limits):
-    Q = smallest_q_kernel(G, 2, limits)
-    if 2 * len(Q) <= G.n:
-        return True, None
-    return False, (
-        f"smallest quasi-kernel {sorted(Q)} has size {len(Q)}, above {G.n}/2"
-    )
+def _half_n(G, shown=False):
+    """Twice the bound n/2, or the bound as a witness writes it."""
+    return f"{G.n}/2" if shown else G.n
 
 
-def _check_kls(G, limits):
-    Q = smallest_q_kernel(G, 2, limits)
-    bound = kls_bound(G)
-    if Fraction(len(Q)) <= bound:
+def _kls(G, shown=False):
+    """Twice kls_bound(G) as an int, or kls_bound(G) itself."""
+    return kls_bound(G) if shown else _twice_kls_bound(G)
+
+
+def _check_size(q, bound, G, limits):
+    """Smallest q-kernel within a bound: bound(G) is twice it, bound(G, True) its text."""
+    Q = smallest_q_kernel(G, q, limits)
+    if 2 * len(Q) <= bound(G):
         return True, None
-    return False, (
-        f"smallest quasi-kernel {sorted(Q)} has size {len(Q)}, above {bound}"
-    )
+    name = "quasi-kernel" if q == 2 else f"{q}-kernel"
+    return False, f"smallest {name} {sorted(Q)} has size {len(Q)}, above {bound(G, True)}"
 
 
 def _applies_moon(G, limits):
@@ -162,13 +162,6 @@ def _check_kernel_perfect(G, limits):
     return False, f"induced subgraph on {sorted(witness)} has no kernel"
 
 
-def _check_q3_half(G, limits):
-    Q = smallest_q_kernel(G, 3, limits)
-    if 2 * len(Q) <= G.n:
-        return True, None
-    return False, f"smallest 3-kernel {sorted(Q)} has size {len(Q)}, above {G.n}/2"
-
-
 def _check_spiro(G, limits):
     """Smallest quasi-kernel within n - sqrt(n).
 
@@ -213,14 +206,14 @@ CLAIMS: dict[str, Claim] = {
             "every source-free digraph has a quasi-kernel on at most half "
             "the vertices",
             _applies_source_free,
-            _check_small_qk,
+            partial(_check_size, 2, _half_n),
         ),
         Claim(
             "kls",
             "every digraph has a quasi-kernel of size at most "
             "(n + #sources - |out-neighbourhood of sources|)/2",
             _applies_always,
-            _check_kls,
+            partial(_check_size, 2, _kls),
         ),
         Claim(
             "moon",
@@ -259,7 +252,7 @@ CLAIMS: dict[str, Claim] = {
             "every source-free digraph has a 3-kernel on at most half "
             "the vertices",
             _applies_source_free,
-            _check_q3_half,
+            partial(_check_size, 3, _half_n),
         ),
         Claim(
             "spiro-sqrt",

@@ -161,6 +161,11 @@ class TestSolve:
         assert main(["solve", "--graph", c5_file, action, "--q", "0"]) == 2
         assert "q must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", ["--kernels", "--kernel-perfect"])
+    def test_kernel_actions_refuse_q(self, c5_file, capsys, action):
+        assert main(["solve", "--graph", c5_file, action, "--q", "2"]) == 2
+        assert capsys.readouterr().err == f"error: {action} takes no --q\n"
+
     def test_enumerate(self, c5_file, capsys):
         assert main(["solve", "--graph", c5_file, "--enumerate"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -361,11 +366,19 @@ class TestSweep:
         assert payload["instances"] == 15
 
     def test_aborted_exit_code(self, capsys):
-        code = main(["sweep", "--claim", "kls", "--family", "random",
-                     "--n", "5", "--samples", "6", "--seed", "0",
-                     "--max-n", "2"])
+        code = main(["sweep", "--claim", "kls", "--family", "all-digraphs",
+                     "--n", "3", "--max-n", "2"])
         assert code == 3
         assert json.loads(capsys.readouterr().out)["aborted"] > 0
+
+    def test_random_family_above_max_n_is_refused(self, capsys):
+        # refused before any graph is generated, not aborted graph by graph
+        code = main(["sweep", "--claim", "small-qk", "--family", "random",
+                     "--n", "2000", "--samples", "3", "--max-n", "24"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --n 2000 is above the solver's --max-n 24\n"
+        )
 
     def test_csv_format(self, capsys):
         code = main(["sweep", "--claim", "spiro-sqrt", "--family",

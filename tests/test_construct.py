@@ -30,10 +30,12 @@ from quasikernel.digraph import (
 from quasikernel.errors import PreconditionError, StructureError, VerificationError
 from quasikernel.generators import (
     gen_cycle,
+    gen_random_digraph,
     gen_random_hairy,
     gen_random_unicyclic,
     gen_tight_hairy,
 )
+from quasikernel.greedy import Ordering, cl_algorithm
 from quasikernel.solver import enumerate_kernels, enumerate_q_kernels
 
 from oracles import brute_smallest
@@ -144,6 +146,19 @@ class TestKernelComplement:
             PreconditionError, match="not a kernel of the uncovered part, witness 4$"
         ):
             small_qk_from_kernel_complement(C5, {0, 2}, frozenset())
+
+    def test_failing_candidate_is_reported_not_dropped(self, monkeypatch):
+        # with no pruning Q1 comes out empty; Q2 = A still verifies, but the
+        # broken candidate must raise rather than lose to it silently
+        G = gen_random_digraph(4, 0.1, True, 0)
+        A = cl_algorithm(G, Ordering.natural(G.n))
+        monkeypatch.setattr(construct, "_prune_cover", lambda G, cands, targets: 0)
+        with pytest.raises(VerificationError) as exc:
+            small_qk_from_kernel_complement(G, A, frozenset())
+        assert str(exc.value) == (
+            "complement candidate [] fails the quasi-kernel check, witness 0"
+        )
+        assert exc.value.trace["Q2"] == A
 
     @settings(max_examples=60, deadline=None)
     @given(source_free_digraphs(max_n=7))

@@ -136,6 +136,18 @@ class TestRunClaim:
         assert v.graph == "2 2\n0 1\n1 0\n"
         assert "above 2 - sqrt(2)" in v.witness
 
+    @pytest.mark.parametrize(
+        "claim_id, G, witness",
+        [("small-qk", C4, "smallest quasi-kernel [0, 1, 2, 3] has size 4, above 4/2"),
+         ("kls", C4, "smallest quasi-kernel [0, 1, 2, 3] has size 4, above 2"),
+         ("kls", PATH, "smallest quasi-kernel [0, 1, 2] has size 3, above 3/2"),
+         ("q3-half", C3, "smallest 3-kernel [0, 1, 2] has size 3, above 3/2")],
+    )
+    def test_size_bound_witness_text(self, monkeypatch, claim_id, G, witness):
+        # force a violation: the "smallest" kernel is the whole vertex set
+        monkeypatch.setattr(sweep, "smallest_q_kernel", lambda G, q, limits: frozenset(range(G.n)))
+        assert CLAIMS[claim_id].check(G, SolverLimits()) == (False, witness)
+
     def test_skip_semantics(self):
         # sourced graph skipped by the source-free claims
         report = run_claim(CLAIMS["small-qk"], [PATH])
