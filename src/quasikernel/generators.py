@@ -6,7 +6,7 @@ from itertools import combinations
 
 from .construct import HairyPartition
 from .digraph import Digraph, _bits, _union
-from .rng import SplitMix64
+from .rng import _LANES, SplitMix64
 
 
 def gen_cycle(length: int) -> Digraph:
@@ -91,6 +91,10 @@ def gen_random_digraph(
 ) -> Digraph:
     """Each ordered pair independently gets an arc with probability arc_prob.
 
+    Pair (u, v) takes draw u*(n-1) + (v if v < u else v-1) of the seed's
+    stream.  The arc coins are drawn in batches by SplitMix64.coins, a block
+    of rows at a time; the stream is the same as one next_float() test per
+    pair.
     With source_free set, every in-degree-0 vertex then receives one arc
     from a uniformly random other vertex, repeated until no source remains.
     """
@@ -101,11 +105,21 @@ def gen_random_digraph(
     if source_free and n < 2:
         raise ValueError("source-free graphs need at least 2 vertices")
     rng = SplitMix64(seed)
-    out = [0] * n
-    for u in range(n):
-        for v in range(n):
-            if u != v and rng.next_float() < arc_prob:
-                out[u] |= 1 << v
+    width = max(n - 1, 1)  # n < 2 draws no coins
+    row_mask = (1 << width) - 1
+    # about one batch of coins per call, or one row when a row is longer, so
+    # no n*(n-1)-bit mask of every coin is ever held at once
+    step = max(1, _LANES // width)
+    out = []
+    for first in range(0, n, step):
+        last = min(first + step, n)
+        block = rng.coins((last - first) * (n - 1), arc_prob)
+        for u in range(first, last):
+            row = block & row_mask
+            block >>= width
+            # coin i of row u is the arc to v = i, or to i + 1 past u
+            low = row & ((1 << u) - 1)
+            out.append((row ^ low) << 1 | low)
     full = (1 << n) - 1
     while source_free:
         srcs = full & ~_union(out, full)

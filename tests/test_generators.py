@@ -1,5 +1,7 @@
 """Generator and enumerator tests: exact wiring, determinism, golden streams."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,8 @@ from quasikernel.generators import (
     gen_three_hub,
     gen_tight_hairy,
 )
+from quasikernel.graphio import format_graph
+from quasikernel.sweep import random_source_free_family
 
 
 class TestCycle:
@@ -117,6 +121,25 @@ class TestRandomDigraph:
         )
         assert gen_random_digraph(5, 0.2, True, 11).arcs == (
             (0, 1), (1, 0), (1, 2), (1, 3), (2, 3), (2, 4),
+        )
+
+    def test_stream_digest(self):
+        # sha256 over the graph text, pinned when every coin was a scalar
+        # next_float() draw; it moves if any draw moves.  n = 40 takes 1,560
+        # coins, past one 1,024-draw batch.
+        graphs = [
+            *random_source_free_family(5000, 10, 0),
+            *(
+                gen_random_digraph(n, 0.05, True, s)
+                for n in (28, 32, 40)
+                for s in range(20)
+            ),
+            gen_random_digraph(7, 0.0, False, 3),
+            gen_random_digraph(7, 1.0, False, 3),
+        ]
+        text = "".join(map(format_graph, graphs))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f32313d527387f61296a56baf730489b1a059d216e024fb3ff3309f56b7e0501"
         )
 
     def test_determinism(self):

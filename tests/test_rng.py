@@ -1,5 +1,7 @@
 """Deterministic rng stream checks."""
 
+import math
+
 import pytest
 
 from quasikernel.rng import SplitMix64
@@ -78,3 +80,29 @@ def test_next_below_takes_bounds_up_to_two_to_the_64():
     assert SplitMix64(0).next_below(1 << 64) == SEED0_STREAM[0]
     with pytest.raises(ValueError, match=r"at most 2\*\*64, got 18446744073709551617"):
         SplitMix64(0).next_below((1 << 64) + 1)
+
+
+@pytest.mark.parametrize("k", [0, 1, 1023, 1024, 1025, 3000])
+@pytest.mark.parametrize("p", [0.0, 2.0**-60, 0.3, 0.5, 1 - 2.0**-53, 1.0])
+def test_coins_equal_scalar_draws(k, p):
+    batch, scalar = SplitMix64(k * 7919), SplitMix64(k * 7919)
+    expected = sum(1 << i for i in range(k) if scalar.next_float() < p)
+    assert batch.coins(k, p) == expected
+    assert batch.next_u64() == scalar.next_u64()
+
+
+def test_coins_reject_bad_arguments():
+    with pytest.raises(ValueError, match="non-negative"):
+        SplitMix64(0).coins(-1, 0.5)
+    for p in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            SplitMix64(0).coins(4, p)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_coins_at_the_float_threshold(seed):
+    # p just above a draw below 1/2 is not a multiple of 2**-53, so the
+    # integer limit must round p * 2**53 up, not down
+    draw = SplitMix64(seed).next_float()
+    for p in (math.nextafter(draw, 0.0), draw, math.nextafter(draw, 1.0)):
+        assert SplitMix64(seed).coins(1, p) == (draw < p)
