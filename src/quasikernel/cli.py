@@ -251,17 +251,18 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-# exhaustive sweep families: enumerator, default n and states per vertex pair;
-# sizes above the default get a note on how many graphs they walk
+# exhaustive sweep families: enumerator and default n; sizes above the
+# default get a note on how many graphs they walk
 _EXHAUSTIVE = {
-    "all-digraphs": (enumerate_all_digraphs, 4, 4),
-    "all-tournaments": (enumerate_all_tournaments, 6, 2),
+    "all-digraphs": (enumerate_all_digraphs, 4),
+    "all-tournaments": (enumerate_all_tournaments, 6),
 }
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     limits = SolverLimits(args.max_n, args.max_subsets)
-    seed_info = None
     if args.family == "random":
         n = args.n if args.n is not None else 8
         if args.samples < 0:
@@ -272,26 +273,18 @@ def _cmd_sweep(args) -> int:
         if n > args.max_n:
             raise ValueError(f"--n {n} is above the solver's --max-n {args.max_n}")
         family = random_source_free_family(args.samples, n, args.seed)
-        family_desc = f"random(samples={args.samples}, max_n={n})"
-        seed_info = f"seed={args.seed}"
     else:
-        enumerate_family, default_n, states = _EXHAUSTIVE[args.family]
+        enumerate_family, default_n = _EXHAUSTIVE[args.family]
         n = args.n if args.n is not None else default_n
+        if n < 0:
+            raise ValueError(f"--n must be non-negative, got {n}")
         family = enumerate_family(n)
         if n > default_n:
-            print(
-                f"note: enumerating {args.family.replace('-', ' ')} on {n} "
-                f"vertices walks {states}^{n * (n - 1) // 2} instances",
-                file=sys.stderr,
-            )
-        family_desc = f"{args.family}(n={n})"
+            walks = f"walks {len(family.items):,} instances"
+            print(f"note: {family.desc} {walks}", file=sys.stderr)
+    seed_info = f"seed={args.seed}" if args.family == "random" else None
     report = run_claim(
-        CLAIMS[args.claim],
-        family,
-        limits,
-        jobs=args.jobs,
-        family_desc=family_desc,
-        seed_info=seed_info,
+        CLAIMS[args.claim], family, limits, args.jobs, family.desc, seed_info
     )
     _write(
         args,

@@ -19,7 +19,7 @@ def _check_vertex(v, n: int) -> int:
     return v
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, repr=False)
 class Digraph:
     """Finite loopless digraph on vertices 0..n-1 with at most one copy of each arc.
 
@@ -68,14 +68,6 @@ class Digraph:
     @property
     def arcs(self) -> tuple[tuple[int, int], ...]:
         return tuple((u, v) for u, m in enumerate(self.out_masks) for v in _bits(m))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Digraph):
-            return NotImplemented
-        return self.n == other.n and self.out_masks == other.out_masks
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.out_masks))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, m={self.m})"

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
+from typing import Callable, Iterable
 
 from .construct import HairyPartition
 from .digraph import Digraph, _bits, _union
@@ -192,49 +195,94 @@ def gen_random_unicyclic(n: int, seed: int) -> tuple[Digraph, tuple[int, ...]]:
     return Digraph(n, arcs), tuple(range(length))
 
 
-def _pair_states(n: int, states: tuple[int, ...]):
+@dataclass(frozen=True)
+class Family:
+    """A graph family: a description, and make(item) for each of its items.
+
+    make must be picklable (module level, or a partial of such a function),
+    since run_claim's pool workers get a slice of the items and build graphs.
+    """
+
+    desc: str
+    make: Callable
+    items: Iterable
+
+    def __iter__(self):
+        return map(self.make, self.items)
+
+
+def _pair_graph(n: int, states: tuple[int, ...], digit: int, pairs, code: int):
+    """The digraph of one counter code of _pair_states."""
+    out = [0] * n
+    for u, v, shift in pairs:
+        state = states[code >> shift & digit]
+        if state & 1:
+            out[u] |= 1 << v
+        if state & 2:
+            out[v] |= 1 << u
+    return Digraph._trusted(n, out)
+
+
+def _pair_states(desc: str, n: int, states: tuple[int, ...]) -> Family:
     """Every digraph whose unordered pairs each take one of the given states.
 
     A state's 1 bit puts in the arc low->high and its 2 bit the arc
-    high->low.  Graphs stream out in counter order with one digit per pair,
-    the first pair least significant, each digit indexing states; the number
-    of states must be a power of two.
+    high->low.  The items are the range of counter codes, with one digit
+    per pair, the first pair least significant, each digit indexing states;
+    the number of states must be a power of two.
     """
     width = (len(states) - 1).bit_length()
-    digit = (1 << width) - 1
     pairs = [(u, v, width * k) for k, (u, v) in enumerate(combinations(range(n), 2))]
-    for code in range(1 << (width * len(pairs))):
-        out = [0] * n
-        for u, v, shift in pairs:
-            state = states[code >> shift & digit]
-            if state & 1:
-                out[u] |= 1 << v
-            if state & 2:
-                out[v] |= 1 << u
-        yield Digraph._trusted(n, out)
+    make = partial(_pair_graph, n, states, (1 << width) - 1, pairs)
+    return Family(desc, make, range(1 << (width * len(pairs))))
 
 
-def enumerate_all_digraphs(n: int):
-    """Every loopless digraph on 0..n-1, n at most 5.
+def enumerate_all_digraphs(n: int) -> Family:
+    """Every loopless digraph on 0..n-1, n at most 5; iterable more than once.
 
     Each unordered pair takes one of four states (none, low->high,
-    high->low, both); graphs stream out in base-4 counter order with the
+    high->low, both); graphs come out in base-4 counter order with the
     first pair as the least significant digit.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > 5:
         raise ValueError("exhaustive digraph enumeration is capped at n=5")
-    return _pair_states(n, (0, 1, 2, 3))
+    return _pair_states(f"all-digraphs(n={n})", n, (0, 1, 2, 3))
 
 
-def enumerate_all_tournaments(n: int):
-    """Every tournament on 0..n-1, n at most 7, in binary counter order.
+def enumerate_all_tournaments(n: int) -> Family:
+    """Every tournament on 0..n-1, n at most 7; iterable more than once.
 
-    Bit k of the counter orients pair k: 0 sends low->high.
+    Graphs come out in binary counter order; bit k orients pair k, and 0
+    sends low->high.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n > 7:
         raise ValueError("exhaustive tournament enumeration is capped at n=7")
-    return _pair_states(n, (1, 2))
+    return _pair_states(f"all-tournaments(n={n})", n, (1, 2))
+
+
+def _source_free(draw) -> Digraph:
+    """The graph of one random_source_free_family draw (n, arc_prob, seed)."""
+    n, prob, sub = draw
+    return gen_random_digraph(n, prob, True, sub)
+
+
+def random_source_free_family(count: int, max_n: int, seed: int) -> Family:
+    """One-pass stream of source-free random digraphs on 2..max_n vertices.
+
+    Each item draws the vertex count, an arc probability in [0.1, 0.9) and
+    the graph's seed from one generator seeded with seed, so it replays exactly.
+    """
+    if count < 0:
+        raise ValueError("count must be non-negative")
+    if max_n < 2:
+        raise ValueError("max_n must be at least 2")
+    rng = SplitMix64(seed)
+    draws = (
+        (2 + rng.next_below(max_n - 1), 0.1 + 0.8 * rng.next_float(), rng.next_u64())
+        for _ in range(count)
+    )
+    return Family(f"random(samples={count}, max_n={max_n})", _source_free, draws)

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import time
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -26,9 +27,8 @@ from .digraph import (
     sources,
 )
 from .errors import ResourceLimitError
-from .generators import gen_random_digraph
+from .generators import Family, random_source_free_family  # noqa: F401 (re-export)
 from .graphio import format_graph
-from .rng import SplitMix64
 from .solver import (
     DEFAULT_LIMITS,
     SolverLimits,
@@ -279,7 +279,7 @@ CLAIMS: dict[str, Claim] = {
 }
 
 
-def _run_graphs(claim, graphs, limits):
+def _run_graphs(claim, limits, graphs):
     instances = passes = skips = aborted = 0
     violations: list[Violation] = []
     for G in graphs:
@@ -299,8 +299,8 @@ def _run_graphs(claim, graphs, limits):
     return instances, passes, skips, aborted, violations
 
 
-def _run_chunk(claim, limits, chunk):
-    return _run_graphs(claim, (Digraph._trusted(len(m), m) for m in chunk), limits)
+def _same(G):
+    return G
 
 
 def run_claim(
@@ -311,27 +311,34 @@ def run_claim(
     family_desc: str = "",
     seed_info: str | None = None,
 ) -> SweepReport:
-    """Run one claim over an iterable of graphs and aggregate the outcome.
+    """Run one claim over a generators.Family, or any iterable of graphs.
 
-    With jobs > 1 the family is split over worker processes, which get each
-    graph's out-masks and the claim, so its applies and check functions must
-    be picklable (defined at module level).  The pool starts every worker at
-    once, so it gets no more than there are chunks or CPUs.  Violations are
-    sorted by graph text then witness, so sharding never changes the report.
+    With jobs > 1 each worker process gets a slice of the family's items (a
+    one-pass stream is listed first), its make and the claim, and builds its
+    own graphs, so the claim's applies and check must be picklable (module
+    level).  The pool starts every worker at once, so it gets no more than
+    there are slices or CPUs.  Violations are sorted by graph text then
+    witness, so sharding never changes the report.
     """
     limits = limits or DEFAULT_LIMITS
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    if not isinstance(family, Family):
+        family = Family(family_desc, _same, family)
+    run = partial(_run_graphs, claim, limits)
     start = time.perf_counter()
     if jobs == 1:
-        parts = [_run_graphs(claim, family, limits)]
+        parts = [run(family)]
     else:
-        masks = [G.out_masks for G in family]
-        step = max(1, -(-len(masks) // (jobs * 4)))
-        chunks = [masks[i : i + step] for i in range(0, len(masks), step)]
+        items = family.items
+        if not isinstance(items, Sequence):
+            items = list(items)
+        step = max(1, -(-len(items) // (jobs * 4)))
+        starts = range(0, len(items), step)
+        chunks = [Family(family.desc, family.make, items[i : i + step]) for i in starts]
         workers = max(1, min(jobs, len(chunks), os.cpu_count() or 1))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_run_chunk, claim, limits), chunks))
+            parts = list(pool.map(run, chunks))
     counts = [sum(p[i] for p in parts) for i in range(4)]
     violations = sorted(
         (v for p in parts for v in p[4]), key=lambda v: (v.graph, v.witness)
@@ -391,22 +398,3 @@ def verify_set(G: Digraph, S, mode: str, q: int | None = None) -> CheckReport:
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     return _MODES[mode](G, S, q)
-
-
-def random_source_free_family(count: int, max_n: int, seed: int):
-    """Deterministic stream of source-free random digraphs on 2..max_n vertices.
-
-    Vertex count, arc probability in [0.1, 0.9), and the per-graph seed are
-    all drawn from one generator seeded with seed, so the stream replays
-    exactly.
-    """
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    if max_n < 2:
-        raise ValueError("max_n must be at least 2")
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        n = 2 + rng.next_below(max_n - 1)
-        prob = 0.1 + 0.8 * rng.next_float()
-        sub = rng.next_u64()
-        yield gen_random_digraph(n, prob, True, sub)

@@ -5,12 +5,13 @@ import json
 import jsonschema
 import pytest
 
+from quasikernel import cli
 from quasikernel.cli import _build_parser, main
 from quasikernel.graphio import load_graph, save_graph
 from quasikernel.generators import gen_cycle
 from quasikernel.digraph import Digraph
 from quasikernel.solver import DEFAULT_LIMITS
-from quasikernel.sweep import _MODES
+from quasikernel.sweep import _MODES, SweepReport
 
 
 @pytest.fixture
@@ -398,6 +399,28 @@ class TestSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "capped at n=5" in err and "note:" not in err
+
+    def test_large_n_note_counts_the_family(self, capsys, monkeypatch):
+        def no_run(claim, family, limits, jobs, family_desc, seed_info):
+            return SweepReport(claim.id, family_desc, 0, 0, 0, 0, (), 0.0, seed_info)
+
+        monkeypatch.setattr(cli, "run_claim", no_run)
+        code = main(["sweep", "--claim", "moon", "--family", "all-tournaments",
+                     "--n", "7"])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "note: all-tournaments(n=7) walks 2,097,152 instances\n"
+        )
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--family", "random", "--jobs", "0"], "--jobs must be at least 1, got 0"),
+         (["--family", "all-digraphs", "--n", "-1"], "--n must be non-negative, got -1")],
+        ids=["jobs-zero", "exhaustive-n-negative"],
+    )
+    def test_bad_sweep_input_names_its_flag(self, capsys, flags, message):
+        assert main(["sweep", "--claim", "small-qk", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "flags, message",

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+from functools import partial
 from importlib import resources
 
 import jsonschema
@@ -12,6 +14,7 @@ from quasikernel import sweep
 from quasikernel.digraph import Digraph
 from quasikernel.errors import VertexRangeError
 from quasikernel.generators import (
+    Family,
     enumerate_all_digraphs,
     enumerate_all_tournaments,
     gen_cycle,
@@ -45,6 +48,13 @@ def _applies_always(G, limits):
 
 def _check_always_fails(G, limits):
     return False, "fails by design"
+
+
+def _built_outside(parent, make, item):
+    """make(item), in any process but the parent."""
+    if os.getpid() == parent:
+        raise AssertionError("the parent built a graph")
+    return make(item)
 
 
 @pytest.fixture
@@ -243,7 +253,7 @@ class TestRunClaim:
         assert pooled == serial
 
     def test_pool_formats_only_violation_graphs(self, monkeypatch, pool_sizes):
-        # workers get out-masks; graph text is made only for a violation
+        # workers build their own graphs; graph text is made only for a violation
         formatted = []
 
         def counting_format(G):
@@ -259,6 +269,33 @@ class TestRunClaim:
         assert sorted(map(format_graph, formatted)) == [
             v.graph for v in failing.violations
         ]
+
+    def test_pool_parent_builds_no_graph(self):
+        tournaments = enumerate_all_tournaments(4)
+        family = Family(
+            "t4", partial(_built_outside, os.getpid(), tournaments.make),
+            tournaments.items,
+        )
+        with pytest.raises(AssertionError):
+            next(iter(family))
+        pooled = run_claim(CLAIMS["moon"], family, jobs=2, family_desc="t4")
+        serial = run_claim(CLAIMS["moon"], tournaments, family_desc="t4")
+        assert pooled == serial
+        assert (pooled.instances, pooled.passes, pooled.skips) == (64, 32, 32)
+
+    @pytest.mark.parametrize("claim_id", ["small-qk", "kls"])
+    def test_pool_matches_serial_on_random_draws(self, claim_id):
+        # the one-pass stream of draws is listed in the parent, and the
+        # workers generate the graphs
+        serial, pooled = (
+            run_claim(
+                CLAIMS[claim_id], random_source_free_family(3000, 9, 5), jobs=jobs,
+                family_desc="r", seed_info="seed=5",
+            )
+            for jobs in (1, 2)
+        )
+        assert pooled == serial
+        assert serial.instances == 3000
 
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
@@ -381,6 +418,12 @@ def test_round_trip_violation_graphs_parse():
 
     assert parse_graph(report.violations[0].graph) == PAIR
     assert format_graph(PAIR) == report.violations[0].graph
+
+
+def test_exhaustive_families_are_reusable():
+    family = enumerate_all_tournaments(4)
+    first, second = list(family), list(family)
+    assert len(first) == 64 and first == second
 
 
 def test_violation_is_frozen():
