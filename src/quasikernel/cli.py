@@ -178,14 +178,22 @@ _SOLVE = {
 }
 
 
+def _limits(args) -> SolverLimits:
+    """The solver limits, with a bad --max-n or --max-subsets named as the flag."""
+    for flag, value in (("--max-n", args.max_n), ("--max-subsets", args.max_subsets)):
+        if value < 0:
+            raise ValueError(f"{flag} must be non-negative, got {value}")
+    return SolverLimits(args.max_n, args.max_subsets)
+
+
 def _cmd_solve(args) -> int:
     q = 2 if args.q is None else args.q
     if q < 1:
         raise ValueError("q must be at least 1")
     if args.q is not None and args.action in ("kernels", "kernel-perfect"):
         raise ValueError(f"--{args.action} takes no --q")
+    limits = _limits(args)
     G = load_graph(args.graph)
-    limits = SolverLimits(args.max_n, args.max_subsets)
     print(json.dumps(_SOLVE[args.action](G, q, limits), indent=2))
     return 0
 
@@ -262,7 +270,7 @@ _EXHAUSTIVE = {
 def _cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    limits = SolverLimits(args.max_n, args.max_subsets)
+    limits = _limits(args)
     if args.family == "random":
         n = args.n if args.n is not None else 8
         if args.samples < 0:
@@ -278,7 +286,10 @@ def _cmd_sweep(args) -> int:
         n = args.n if args.n is not None else default_n
         if n < 0:
             raise ValueError(f"--n must be non-negative, got {n}")
-        family = enumerate_family(n)
+        try:
+            family = enumerate_family(n)
+        except ValueError as exc:  # the enumerator's size cap
+            raise ValueError(f"--n {n}: {exc}") from None
         if n > default_n:
             walks = f"walks {len(family.items):,} instances"
             print(f"note: {family.desc} {walks}", file=sys.stderr)

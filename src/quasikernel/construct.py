@@ -379,13 +379,13 @@ def _validate_unicyclic(G: Digraph) -> list[int]:
 def unicyclic_small_qk(G: Digraph) -> ConstructionTrace:
     """Small quasi-kernel of a source-free unicyclic orientation.
 
-    The cycle gets one of three pick patterns with cyclic gaps of 2 or 3,
-    fixed by the cycle length mod 3; every out-tree root then keeps the
-    depth residue class that adds fewest vertices among the residues its
-    pattern allows (the pattern decides which residues keep the tree both
-    independent of the root and 2-covered).  Summed over the three patterns
-    each vertex is charged at most once plus a small constant, so the
-    smallest verified candidate meets the bound.
+    Picks sit at cyclic gaps of 3 around the cycle, with twos = -l % 3 gaps
+    of 2 so that the gaps sum to its length l.  Three candidates start at
+    cycle positions 1, 2 and 3 (2, 1, 3 when twos is 1; the first smallest
+    wins).  Every out-tree keeps its fewest-vertex depth residue among those
+    its root's place allows: (0, 2) at a pick, (2, 1) just after, (1,) mid-gap.
+    The candidates' sizes sum to at most n plus the number of 2-gaps, so the
+    smallest verified candidate meets the bound (n + twos) / 3.
     """
     cycle = _validate_unicyclic(G)
     l = len(cycle)
@@ -400,37 +400,16 @@ def unicyclic_small_qk(G: Digraph) -> ConstructionTrace:
             frontier = _union(G.out_masks, frontier) & off_cycle
             levels[depth % 3] |= frontier
         trees.append(levels)
-    s3 = l % 3
-    if s3 == 0:
-        patterns = [
-            set(range(1, l + 1, 3)),
-            set(range(2, l + 1, 3)),
-            set(range(3, l + 1, 3)),
-        ]
-    elif s3 == 2:
-        patterns = [
-            set(range(2, l + 1, 3)),
-            set(range(1, l, 3)),
-            {1, *range(3, l - 1, 3)},
-        ]
-    else:
-        s = l // 3
-        patterns = [
-            {*range(1, 3 * s - 1, 3), 3 * s},
-            {*range(2, 3 * s, 3), 3 * s + 1},
-            {1, *range(3, 3 * s + 1, 3)},
-        ]
+    twos = -l % 3
+    gaps = [3] * ((l - 2 * twos) // 3) + [2] * twos
     candidates = []
-    for pat in patterns:
-        chosen = _mask_of((cycle[i - 1] for i in pat), G.n)
-        for i in range(1, l + 1):
-            if i in pat:
-                allowed = (0, 2)
-            elif (i - 2) % l + 1 in pat:
-                allowed = (2, 1)
-            else:
-                allowed = (1,)
-            chosen |= min((trees[i - 1][r] for r in allowed), key=int.bit_count)
+    for start in (1, 0, 2) if twos == 1 else (0, 1, 2):
+        chosen, i = 0, start
+        for gap in gaps:
+            chosen |= 1 << cycle[i % l]
+            for j, allowed in zip(range(i, i + gap), ((0, 2), (2, 1), (1,))):
+                chosen |= min((trees[j % l][r] for r in allowed), key=int.bit_count)
+            i += gap
         candidates.append(_set_of(chosen))
     inter = {"cycle": frozenset(cycle)}
     for idx, cand in enumerate(candidates, start=1):
@@ -438,5 +417,5 @@ def unicyclic_small_qk(G: Digraph) -> ConstructionTrace:
     for cand in candidates:
         _verify_qk(G, cand, G.n, "cycle pattern candidate", inter)
     result = min(candidates, key=len)
-    bound = Fraction(G.n + (0, 2, 1)[s3], 3)
+    bound = Fraction(G.n + twos, 3)
     return _finish(G, "unicyclic", result, inter, bound)

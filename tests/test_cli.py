@@ -221,7 +221,7 @@ class TestSolve:
     @pytest.mark.parametrize("flag", ["--max-n", "--max-subsets"])
     def test_negative_limit_is_a_usage_error(self, c5_file, capsys, flag):
         assert main(["solve", "--graph", c5_file, "--smallest", flag, "-1"]) == 2
-        assert "must be non-negative, got -1" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {flag} must be non-negative, got -1\n"
 
     def test_action_required(self, c5_file):
         assert main(["solve", "--graph", c5_file]) == 2
@@ -415,8 +415,16 @@ class TestSweep:
     @pytest.mark.parametrize(
         "flags, message",
         [(["--family", "random", "--jobs", "0"], "--jobs must be at least 1, got 0"),
-         (["--family", "all-digraphs", "--n", "-1"], "--n must be non-negative, got -1")],
-        ids=["jobs-zero", "exhaustive-n-negative"],
+         (["--family", "all-digraphs", "--n", "-1"], "--n must be non-negative, got -1"),
+         (["--family", "all-digraphs", "--n", "6"],
+          "--n 6: exhaustive digraph enumeration is capped at n=5"),
+         (["--family", "all-tournaments", "--n", "8"],
+          "--n 8: exhaustive tournament enumeration is capped at n=7"),
+         (["--family", "random", "--max-n", "-1"], "--max-n must be non-negative, got -1"),
+         (["--family", "all-digraphs", "--max-subsets", "-5"],
+          "--max-subsets must be non-negative, got -5")],
+        ids=["jobs-zero", "exhaustive-n-negative", "digraphs-past-cap",
+             "tournaments-past-cap", "max-n-negative", "max-subsets-negative"],
     )
     def test_bad_sweep_input_names_its_flag(self, capsys, flags, message):
         assert main(["sweep", "--claim", "small-qk", *flags]) == 2

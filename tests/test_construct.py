@@ -1,5 +1,7 @@
 """Constructive builder tests: shrinking, complement assembly, hairy, unicyclic."""
 
+import hashlib
+import json
 from fractions import Fraction
 from math import ceil
 
@@ -27,7 +29,12 @@ from quasikernel.digraph import (
     out_neighbors,
     sources,
 )
-from quasikernel.errors import PreconditionError, StructureError, VerificationError
+from quasikernel.errors import (
+    PreconditionError,
+    QkError,
+    StructureError,
+    VerificationError,
+)
 from quasikernel.generators import (
     gen_cycle,
     gen_random_digraph,
@@ -437,6 +444,24 @@ class TestUnicyclicSmallQk:
         assert Fraction(trace.size) <= trace.bound
         assert trace.bound <= Fraction(G.n + 2, 3)
         assert trace.intermediates["cycle"] == frozenset(cycle)
+
+    def test_trace_digest(self):
+        # pins candidate order, tie-breaks, residue choices and the bound for
+        # every cycle length mod 3; errors are part of the pinned text
+        def line(G):
+            try:
+                t = unicyclic_small_qk(G)
+            except QkError as e:
+                return f"{type(e).__name__}: {e}"
+            inter = [[k, sorted(v)] for k, v in t.intermediates.items()]
+            return json.dumps([t.method, sorted(t.result), str(t.bound), inter])
+
+        graphs = [gen_cycle(length) for length in range(2, 61)]
+        graphs += [gen_random_unicyclic(3 + s % 30, s)[0] for s in range(1000)]
+        text = "\n".join(map(line, graphs))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "bd2256a2e512d008e64a7d79d7db8b150617ac4f99ed13a81daf10313ca33b77"
+        )
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(3, 8), st.integers(0, 2**32))
