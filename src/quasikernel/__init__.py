@@ -77,7 +77,6 @@ from .sweep import (
     random_source_free_family,
     report_emit,
     run_claim,
-    verify_set,
 )
 
 __version__ = "0.1.0"

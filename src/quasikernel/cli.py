@@ -14,7 +14,7 @@ from .construct import (
     small_qk_from_kernel_complement,
     unicyclic_small_qk,
 )
-from .digraph import is_q_kernel
+from .digraph import is_kernel, is_large_qk, is_q_kernel, is_quasi_sink
 from .errors import QkError, ResourceLimitError, VerificationError
 from .generators import (
     enumerate_all_digraphs,
@@ -38,14 +38,7 @@ from .solver import (
     is_kernel_perfect,
     smallest_q_kernel,
 )
-from .sweep import (
-    CLAIMS,
-    _MODES,
-    random_source_free_family,
-    report_emit,
-    run_claim,
-    verify_set,
-)
+from .sweep import CLAIMS, random_source_free_family, report_emit, run_claim
 
 
 def _ints(text):
@@ -58,11 +51,15 @@ def _ints(text):
     return ints
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 def _req(args, name, choice):
     """The value of flag name, which the chosen family or method requires."""
     value = getattr(args, name)
     if value is None:
-        flag = "--" + name.replace("_", "-")
+        flag = _flag(name)
         raise ValueError(f"{flag} is required for {choice} {getattr(args, choice)}")
     return value
 
@@ -85,6 +82,19 @@ _GEN = {
     "random-tournament": (gen_random_tournament, ("n", "seed"), ()),
     "random-hairy": (gen_random_hairy, ("m", "max_hairs", "seed"), ("partition",)),
     "random-unicyclic": (gen_random_unicyclic, ("n", "seed"), ("cycle",)),
+}
+
+# family -> the flags that set its size, and its largest vertex count on args
+_GEN_SIZE = {
+    "cycle": ("length", lambda a: a.length),
+    "three-hub": ("k", lambda a: 3 + 3 * a.k),
+    "tight-hairy": (
+        "n", lambda a: (2 * a.n + 1) * (2 * a.n + 2) + 2 * a.strongly_connected
+    ),
+    "random": ("n", lambda a: a.n),
+    "random-tournament": ("n", lambda a: a.n),
+    "random-hairy": ("m max_hairs", lambda a: a.m * (a.max_hairs + 1)),
+    "random-unicyclic": ("n", lambda a: a.n),
 }
 
 # sidecar key -> its JSON form, in the order the keys are written
@@ -110,7 +120,17 @@ def _write(args, text, summary, meta=None) -> None:
 
 def _cmd_gen(args) -> int:
     generate, flags, keys = _GEN[args.family]
-    made = generate(*[_req(args, f, "family") for f in flags])
+    values = [_req(args, f, "family") for f in flags]
+    sized, count = _GEN_SIZE[args.family]
+    if count(args) > _MAX_VERTICES:  # the written graph must parse back
+        given = " ".join(f"{_flag(f)} {getattr(args, f)}" for f in sized.split())
+        raise ValueError(f"{given}: up to {count(args)} vertices, above the "
+                         f"{_MAX_VERTICES} that parse_graph reads back")
+    try:
+        made = generate(*values)
+    except ValueError as exc:  # a generator's message starts with the bad parameter
+        name, _, why = str(exc).partition(" ")
+        raise ValueError(f"{_flag(name)} {why}" if name in flags else exc) from None
     G, *rest = made if keys else (made,)
     extras = dict(zip(keys, rest))
     meta = {k: form(extras[k]) for k, form in _SIDECAR.items() if k in extras}
@@ -168,14 +188,36 @@ def _disjoint_pair(G, q, limits) -> dict:
     return {"pair": _maybe(_lists, has_two_disjoint_qks(G, q, limits))}
 
 
-# action flag -> its JSON payload on (graph, reach radius, limits)
+# action flag -> its JSON payload on (graph, reach radius, limits), and
+# whether it takes --q
 _SOLVE = {
-    "smallest": _smallest,
-    "enumerate": _enumerate,
-    "kernels": _kernels,
-    "kernel-perfect": _kernel_perfect,
-    "disjoint-pair": _disjoint_pair,
+    "smallest": (_smallest, True),
+    "enumerate": (_enumerate, True),
+    "kernels": (_kernels, False),
+    "kernel-perfect": (_kernel_perfect, False),
+    "disjoint-pair": (_disjoint_pair, True),
 }
+
+# check mode -> its predicate on (graph, set[, reach radius]), and whether it
+# takes --q
+_CHECK = {
+    "kernel": (is_kernel, False),
+    "qk": (is_q_kernel, False),
+    "q-kernel": (is_q_kernel, True),
+    "quasi-sink": (is_quasi_sink, False),
+    "large": (is_large_qk, False),
+}
+
+
+def _radius(args, choice: str, takes_q: bool, default=None):
+    """--q where choice takes a radius, else default; with no default, --q is required."""
+    if args.q is not None and args.q < 1:
+        raise ValueError(f"--q must be at least 1, got {args.q}")
+    if args.q is not None and not takes_q:
+        raise ValueError(f"{choice} takes no --q")
+    if args.q is None and takes_q and default is None:
+        raise ValueError(f"{choice} needs --q")
+    return default if args.q is None else args.q
 
 
 def _limits(args) -> SolverLimits:
@@ -187,14 +229,11 @@ def _limits(args) -> SolverLimits:
 
 
 def _cmd_solve(args) -> int:
-    q = 2 if args.q is None else args.q
-    if q < 1:
-        raise ValueError("q must be at least 1")
-    if args.q is not None and args.action in ("kernels", "kernel-perfect"):
-        raise ValueError(f"--{args.action} takes no --q")
+    solve, takes_q = _SOLVE[args.action]
+    q = _radius(args, "--" + args.action, takes_q, 2)
     limits = _limits(args)
     G = load_graph(args.graph)
-    print(json.dumps(_SOLVE[args.action](G, q, limits), indent=2))
+    print(json.dumps(solve(G, q, limits), indent=2))
     return 0
 
 
@@ -311,9 +350,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    check, takes_q = _CHECK[args.mode]
+    q = _radius(args, f"--mode {args.mode}", takes_q)
     G = load_graph(args.graph)
     S = frozenset(args.set)
-    rep = verify_set(G, S, args.mode, args.q)
+    rep = check(G, S) if q is None else check(G, S, q)
     if rep:
         print(f"holds: {sorted(S)} satisfies mode {args.mode}")
         return 0
@@ -341,6 +382,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_LIMITS.max_subsets,
         help="vertices the search may try",
     )
+    radius = argparse.ArgumentParser(add_help=False)
+    radius.add_argument("--q", type=int, help="reach radius, where one is taken")
 
     p_gen = sub.add_parser("gen", help="generate a graph and write it out")
     p_gen.add_argument("--family", required=True, choices=list(_GEN))
@@ -374,16 +417,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cl.set_defaults(func=_cmd_cl)
 
     p_solve = sub.add_parser(
-        "solve", parents=[graph, limits], help="exact search on small graphs"
+        "solve", parents=[graph, limits, radius], help="exact search on small graphs"
     )
     action = p_solve.add_mutually_exclusive_group(required=True)
     for name in _SOLVE:
         action.add_argument(
             "--" + name, dest="action", action="store_const", const=name
         )
-    p_solve.add_argument(
-        "--q", type=int, help="reach radius, default 2; not for kernel actions"
-    )
     p_solve.set_defaults(func=_cmd_solve)
 
     p_con = sub.add_parser(
@@ -411,10 +451,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("-o", "--output", help="write the report here")
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_check = sub.add_parser("check", parents=[graph], help="verify a vertex set")
+    p_check = sub.add_parser("check", parents=[graph, radius], help="verify a vertex set")
     p_check.add_argument("--set", required=True, type=_ints, help="comma separated set")
-    p_check.add_argument("--mode", required=True, choices=list(_MODES))
-    p_check.add_argument("--q", type=int, help="radius for q-kernel mode")
+    p_check.add_argument("--mode", required=True, choices=list(_CHECK))
     p_check.set_defaults(func=_cmd_check)
 
     return parser

@@ -15,7 +15,7 @@ from .rng import _LANES, SplitMix64
 def gen_cycle(length: int) -> Digraph:
     """Directed cycle 0 -> 1 -> ... -> length-1 -> 0."""
     if length < 2:
-        raise ValueError("cycle length must be at least 2")
+        raise ValueError(f"length must be at least 2, got {length}")
     return Digraph(length, [(i, (i + 1) % length) for i in range(length)])
 
 
@@ -29,7 +29,7 @@ def gen_three_hub(k: int) -> tuple[Digraph, dict[str, int]]:
     (3k vertices).
     """
     if k < 1:
-        raise ValueError("k must be at least 1")
+        raise ValueError(f"k must be at least 1, got {k}")
     labels = {"v": 0, "u": 1, "w": 2}
     arcs = []
     for a, b in combinations(range(3), 2):
@@ -59,7 +59,7 @@ def gen_tight_hairy(
     tight: at n = 1, {a1, w2} is a quasi-kernel of size 2.
     """
     if n < 1:
-        raise ValueError("n must be at least 1")
+        raise ValueError(f"n must be at least 1, got {n}")
     m = 2 * n + 1
     arcs = []
     labels = {}
@@ -102,11 +102,11 @@ def gen_random_digraph(
     from a uniformly random other vertex, repeated until no source remains.
     """
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"n must be non-negative, got {n}")
     if not 0.0 <= arc_prob <= 1.0:
-        raise ValueError("arc_prob must lie in [0, 1]")
+        raise ValueError(f"arc_prob must lie in [0, 1], got {arc_prob}")
     if source_free and n < 2:
-        raise ValueError("source-free graphs need at least 2 vertices")
+        raise ValueError(f"n must be at least 2 for a source-free graph, got {n}")
     rng = SplitMix64(seed)
     width = max(n - 1, 1)  # n < 2 draws no coins
     row_mask = (1 << width) - 1
@@ -147,7 +147,7 @@ def _orient_pairs(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
 def gen_random_tournament(n: int, seed: int) -> Digraph:
     """Uniformly random orientation of every unordered pair."""
     if n < 0:
-        raise ValueError("n must be non-negative")
+        raise ValueError(f"n must be non-negative, got {n}")
     return Digraph(n, _orient_pairs(SplitMix64(seed), n))
 
 
@@ -160,9 +160,9 @@ def gen_random_hairy(
     each vertex draws a uniform hair count.
     """
     if m < 3:
-        raise ValueError("the tournament needs at least 3 vertices")
+        raise ValueError(f"m must be at least 3, got {m}")
     if max_hairs < 0:
-        raise ValueError("max_hairs must be non-negative")
+        raise ValueError(f"max_hairs must be non-negative, got {max_hairs}")
     rng = SplitMix64(seed)
     while True:
         arcs = _orient_pairs(rng, m)
@@ -186,7 +186,7 @@ def gen_random_unicyclic(n: int, seed: int) -> tuple[Digraph, tuple[int, ...]]:
     its parent.  Returns the graph and the cycle as a vertex tuple.
     """
     if n < 3:
-        raise ValueError("n must be at least 3")
+        raise ValueError(f"n must be at least 3, got {n}")
     rng = SplitMix64(seed)
     length = 3 + rng.next_below(n - 2)
     arcs = [(i, (i + 1) % length) for i in range(length)]

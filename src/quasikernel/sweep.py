@@ -15,14 +15,12 @@ from typing import Callable
 
 from .construct import _max_out_degree_vertex
 from .digraph import (
-    CheckReport,
     Digraph,
     _set_of,
     has_directed_odd_cycle,
     is_kernel,
     is_large_qk,
     is_q_kernel,
-    is_quasi_sink,
     is_tournament,
     sources,
 )
@@ -376,25 +374,3 @@ def report_emit(report: SweepReport, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
 
-
-def _check_q_kernel(G, S, q):
-    if q is None:
-        raise ValueError("mode q-kernel requires q")
-    return is_q_kernel(G, S, q)
-
-
-# the named predicates of verify_set and qk check --mode, each called as (G, S, q)
-_MODES = {
-    "kernel": lambda G, S, q: is_kernel(G, S),
-    "qk": lambda G, S, q: is_q_kernel(G, S, 2),
-    "q-kernel": _check_q_kernel,
-    "quasi-sink": lambda G, S, q: is_quasi_sink(G, S),
-    "large": lambda G, S, q: is_large_qk(G, S),
-}
-
-
-def verify_set(G: Digraph, S, mode: str, q: int | None = None) -> CheckReport:
-    """Check S against the predicate named by mode (see _MODES); q is for q-kernel."""
-    if mode not in _MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    return _MODES[mode](G, S, q)

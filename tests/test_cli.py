@@ -11,7 +11,7 @@ from quasikernel.graphio import load_graph, save_graph
 from quasikernel.generators import gen_cycle
 from quasikernel.digraph import Digraph
 from quasikernel.solver import DEFAULT_LIMITS
-from quasikernel.sweep import _MODES, SweepReport
+from quasikernel.sweep import SweepReport
 
 
 @pytest.fixture
@@ -107,6 +107,62 @@ class TestGen:
         assert main(["gen", "--family", "cycle", "--length", "1"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--family", "random", "--n", "3", "--arc-prob", "2", "--seed", "1"],
+          "--arc-prob must lie in [0, 1], got 2.0"),
+         (["--family", "random", "--n", "-2", "--arc-prob", "0.5", "--seed", "1"],
+          "--n must be non-negative, got -2"),
+         (["--family", "random", "--n", "1", "--arc-prob", "0.5", "--seed", "1",
+           "--source-free"], "--n must be at least 2 for a source-free graph, got 1"),
+         (["--family", "random-hairy", "--m", "4", "--max-hairs", "-1", "--seed", "1"],
+          "--max-hairs must be non-negative, got -1"),
+         (["--family", "random-hairy", "--m", "2", "--max-hairs", "1", "--seed", "1"],
+          "--m must be at least 3, got 2"),
+         (["--family", "cycle", "--length", "1"], "--length must be at least 2, got 1"),
+         (["--family", "three-hub", "--k", "0"], "--k must be at least 1, got 0"),
+         (["--family", "tight-hairy", "--n", "0"], "--n must be at least 1, got 0"),
+         (["--family", "random-tournament", "--n", "-1", "--seed", "1"],
+          "--n must be non-negative, got -1"),
+         (["--family", "random-unicyclic", "--n", "2", "--seed", "1"],
+          "--n must be at least 3, got 2")],
+    )
+    def test_bad_input_names_its_flag(self, capsys, flags, message):
+        assert main(["gen", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "family, at_cap, past_cap, given, vertices",
+        [("cycle", ["--length", "65536"], ["--length", "65537"], "--length 65537", 65537),
+         ("three-hub", ["--k", "21844"], ["--k", "21845"], "--k 21845", 65538),
+         ("tight-hairy", ["--n", "127", "--strongly-connected"], ["--n", "128"],
+          "--n 128", 66306),
+         ("random", ["--n", "65536"], ["--n", "70000"], "--n 70000", 70000),
+         ("random-tournament", ["--n", "65536"], ["--n", "65537"], "--n 65537", 65537),
+         ("random-hairy", ["--m", "256", "--max-hairs", "255"],
+          ["--m", "256", "--max-hairs", "256"], "--m 256 --max-hairs 256", 65792),
+         ("random-unicyclic", ["--n", "65536"], ["--n", "65537"], "--n 65537", 65537)],
+    )
+    def test_size_past_the_parse_cap_is_refused_first(
+        self, monkeypatch, capsys, family, at_cap, past_cap, given, vertices
+    ):
+        class Generated(Exception):
+            pass
+
+        def generate(*values):
+            raise Generated
+
+        _, flags, keys = cli._GEN[family]
+        monkeypatch.setitem(cli._GEN, family, (generate, flags, keys))
+        rest = ["--arc-prob", "0.5", "--seed", "1"]  # families that take none ignore them
+        with pytest.raises(Generated):
+            main(["gen", "--family", family, *at_cap, *rest])
+        assert main(["gen", "--family", family, *past_cap, *rest]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {given}: up to {vertices} vertices, above the 65536 "
+            "that parse_graph reads back\n"
+        )
+
 
 class TestCl:
     def test_natural(self, c5_file, capsys):
@@ -160,7 +216,7 @@ class TestSolve:
     )
     def test_bad_q(self, c5_file, capsys, action):
         assert main(["solve", "--graph", c5_file, action, "--q", "0"]) == 2
-        assert "q must be at least 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: --q must be at least 1, got 0\n"
 
     @pytest.mark.parametrize("action", ["--kernels", "--kernel-perfect"])
     def test_kernel_actions_refuse_q(self, c5_file, capsys, action):
@@ -464,18 +520,53 @@ class TestCheck:
                      "--mode", "qk"]) == 1
         assert "fails: witness arc (0, 1)" in capsys.readouterr().out
 
-    def test_q_kernel_mode(self, c5_file):
+    def test_q_kernel_mode(self, c5_file, capsys):
         assert main(["check", "--graph", c5_file, "--set", "0",
                      "--mode", "q-kernel", "--q", "4"]) == 0
+        capsys.readouterr()
         assert main(["check", "--graph", c5_file, "--set", "0",
                      "--mode", "q-kernel"]) == 2
+        assert capsys.readouterr().err == "error: --mode q-kernel needs --q\n"
 
     def test_every_sweep_mode_is_accepted(self, c5_file):
-        for mode in _MODES:
+        # --q goes exactly to the modes that take a radius
+        for mode, (_, takes_q) in cli._CHECK.items():
+            q = ["--q", "2"] if takes_q else []
             assert main(["check", "--graph", c5_file, "--set", "0,2",
-                         "--mode", mode, "--q", "2"]) in (0, 1)
+                         "--mode", mode, *q]) in (0, 1)
         assert main(["check", "--graph", c5_file, "--set", "0,2",
                      "--mode", "clique"]) == 2
+
+    def test_modes(self, tmp_path):
+        c3, c4, path = (str(tmp_path / f"{name}.txt") for name in ("c3", "c4", "path"))
+        save_graph(Digraph(3, [(0, 1), (1, 2), (2, 0)]), c3)
+        save_graph(gen_cycle(4), c4)
+        save_graph(Digraph(3, [(0, 1), (1, 2)]), path)
+        for graph, vertices, mode, q, code in [
+            (c4, "0,2", "kernel", [], 0),
+            (c3, "0", "qk", [], 0),
+            (c4, "0", "qk", [], 1),
+            (c4, "0", "q-kernel", ["--q", "3"], 0),
+            (path, "2", "quasi-sink", [], 0),
+            (c4, "0,2", "large", [], 0),
+        ]:
+            args = ["check", "--graph", graph, "--set", vertices, "--mode", mode, *q]
+            assert main(args) == code, args
+
+    @pytest.mark.parametrize(
+        "mode, q, message",
+        [("qk", "0", "--q must be at least 1, got 0"),
+         ("q-kernel", "0", "--q must be at least 1, got 0"),
+         ("kernel", "-3", "--q must be at least 1, got -3"),
+         ("qk", "2", "--mode qk takes no --q"),
+         ("kernel", "5", "--mode kernel takes no --q"),
+         ("quasi-sink", "2", "--mode quasi-sink takes no --q"),
+         ("large", "1", "--mode large takes no --q")],
+    )
+    def test_q_is_refused_where_it_does_not_apply(self, c5_file, capsys, mode, q, message):
+        assert main(["check", "--graph", c5_file, "--set", "0,2",
+                     "--mode", mode, "--q", q]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_large_and_quasi_sink(self, c5_file):
         assert main(["check", "--graph", c5_file, "--set", "0,2",

@@ -129,6 +129,16 @@ class TestKernelComplement:
         }
         assert trace.intermediates == {k: frozenset(v) for k, v in expected.items()}
 
+    def test_prune_drops_a_redundant_vertex(self):
+        # 1 has no out-arc, so A' keeps only 0 to cover B' = {2}
+        G = Digraph(3, [(0, 2), (2, 0), (2, 1)])
+        trace = small_qk_from_kernel_complement(G, {0, 1}, frozenset())
+        assert trace.result == {0}
+        assert trace.intermediates["B'"] == {2}
+        assert trace.intermediates["A'"] == {0}
+        assert trace.intermediates["A''"] == {1}
+        assert trace.intermediates["Q1"] == {0}
+
     def test_degenerate_empty_remainder(self):
         trace = small_qk_from_kernel_complement(C4, {0, 2}, frozenset())
         assert trace.result == {0, 2}
@@ -239,6 +249,14 @@ class TestHairyPartition:
         G = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3), (1, 3)])
         part = HairyPartition({0, 1, 2}, {3}, {3: 2})
         with pytest.raises(PreconditionError, match="not one of its in-neighbors"):
+            part.validate(G, relaxed=True)
+
+    def test_relaxed_rejects_in_arc_from_a_hair(self):
+        G = Digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (4, 3), (1, 4)])
+        part = HairyPartition({0, 1, 2}, {3, 4}, {3: 0, 4: 1})
+        with pytest.raises(
+            PreconditionError, match="hair 3 has an in-arc from outside the tournament part"
+        ):
             part.validate(G, relaxed=True)
 
     def test_relaxed_rejects_isolated_hair(self):

@@ -111,6 +111,12 @@ def test_parse_fuzz_matches_constructor(text):
         ("+2 1\n0 +1\n", "line 1: count line must be two integers"),
         ("2 1\n0 +1\n", "line 2: arc line must be two integers"),
         ("2 1\n0 \uff11\n", "line 2: arc line must be two integers"),
+        # more digits than int() converts by default
+        pytest.param(
+            "9" * 5000 + " 0\n",
+            "line 1: count line must be two integers",
+            id="count-past-int-digit-limit",
+        ),
     ],
 )
 def test_parse_errors(text, fragment):

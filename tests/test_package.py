@@ -18,7 +18,7 @@ PUBLIC = """
     q_kernel_at_most random_source_free_family report_emit run_claim
     save_graph shrink_good_qk small_qk_from_kernel_complement
     smallest_q_kernel sources strongly_connected_components transpose
-    unicyclic_small_qk verify_set
+    unicyclic_small_qk
 """.split()
 
 

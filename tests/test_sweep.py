@@ -10,7 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from quasikernel import sweep
+from quasikernel import cli, sweep
 from quasikernel.digraph import Digraph
 from quasikernel.errors import VertexRangeError
 from quasikernel.generators import (
@@ -20,7 +20,7 @@ from quasikernel.generators import (
     gen_cycle,
     gen_random_digraph,
 )
-from quasikernel.graphio import format_graph
+from quasikernel.graphio import format_graph, save_graph
 from quasikernel.solver import SolverLimits
 from quasikernel.sweep import (
     CLAIMS,
@@ -30,7 +30,6 @@ from quasikernel.sweep import (
     random_source_free_family,
     report_emit,
     run_claim,
-    verify_set,
 )
 
 from oracles import brute_q_kernels, set_reach
@@ -39,6 +38,8 @@ C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 C4 = gen_cycle(4)
 PAIR = Digraph(2, [(0, 1), (1, 0)])
 PATH = Digraph(3, [(0, 1), (1, 2)])
+ARC = Digraph(2, [(0, 1)])
+TRANSITIVE = Digraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
 # module level, so that pool workers can unpickle them
@@ -151,11 +152,33 @@ class TestRunClaim:
         [("small-qk", C4, "smallest quasi-kernel [0, 1, 2, 3] has size 4, above 4/2"),
          ("kls", C4, "smallest quasi-kernel [0, 1, 2, 3] has size 4, above 2"),
          ("kls", PATH, "smallest quasi-kernel [0, 1, 2] has size 3, above 3/2"),
-         ("q3-half", C3, "smallest 3-kernel [0, 1, 2] has size 3, above 3/2")],
+         ("q3-half", C3, "smallest 3-kernel [0, 1, 2] has size 3, above 3/2"),
+         ("moon", C3, "only 2 quasi-kernels: [[0, 2], [0]]"),
+         ("jacob-meyniel", C3, "only 2 quasi-kernels: [[0, 2], [0]]"),
+         ("gutin-unique", ARC, "2 quasi-kernels while sources-form-a-kernel is True"),
+         ("croitoru-two", C3, "neither [0, 2] nor [0] is a kernel"),
+         ("croitoru-two", C4, "intersection [0] differs from sources []"),
+         ("richardson", C3, "induced subgraph on [0, 1, 2] has no kernel"),
+         ("large-qk-exists", C3,
+          "no quasi-kernel reaches half the vertices within one step"),
+         ("max-degree-king", TRANSITIVE,
+          "max out-degree vertex 2 misses vertex 0 within two steps")],
     )
     def test_size_bound_witness_text(self, monkeypatch, claim_id, G, witness):
-        # force a violation: the "smallest" kernel is the whole vertex set
+        # force a violation: the "smallest" kernel is the whole vertex set, the
+        # quasi-kernels are the even vertices and {0}, kernel-perfectness fails
+        # on all of V, no quasi-kernel is large, and the king is the last vertex
         monkeypatch.setattr(sweep, "smallest_q_kernel", lambda G, q, limits: frozenset(range(G.n)))
+        monkeypatch.setattr(
+            sweep,
+            "enumerate_q_kernels",
+            lambda G, q, limits: [frozenset(range(0, G.n, 2)), frozenset({0})],
+        )
+        monkeypatch.setattr(
+            sweep, "is_kernel_perfect", lambda G, limits: (False, frozenset(range(G.n)))
+        )
+        monkeypatch.setattr(sweep, "_any_q_kernel", lambda G, q, limits, accept: False)
+        monkeypatch.setattr(sweep, "_max_out_degree_vertex", lambda G: G.n - 1)
         assert CLAIMS[claim_id].check(G, SolverLimits()) == (False, witness)
 
     def test_skip_semantics(self):
@@ -362,25 +385,32 @@ class TestReportEmit:
 
 
 class TestVerifySet:
-    def test_modes(self):
-        assert verify_set(C4, {0, 2}, "kernel")
-        assert verify_set(C3, {0}, "qk")
-        assert not verify_set(C4, {0}, "qk")
-        assert verify_set(C4, {0}, "q-kernel", q=3)
-        assert verify_set(PATH, {2}, "quasi-sink")
-        assert verify_set(C4, {0, 2}, "large")
+    """Set checks by mode name, run through qk check's mode table."""
 
-    def test_q_kernel_needs_q(self):
-        with pytest.raises(ValueError, match="requires q"):
-            verify_set(C4, {0}, "q-kernel")
+    @pytest.fixture
+    def c4_file(self, tmp_path):
+        path = tmp_path / "c4.txt"
+        save_graph(C4, path)
+        return str(path)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown mode"):
-            verify_set(C4, {0}, "clique")
+    def test_q_kernel_needs_q(self, c4_file, capsys):
+        assert cli.main(["check", "--graph", c4_file, "--set", "0",
+                         "--mode", "q-kernel"]) == 2
+        assert capsys.readouterr().err == "error: --mode q-kernel needs --q\n"
 
-    def test_bad_vertices_propagate(self):
+    def test_unknown_mode(self, c4_file, capsys):
+        assert "clique" not in cli._CHECK
+        assert cli.main(["check", "--graph", c4_file, "--set", "0",
+                         "--mode", "clique"]) == 2
+        assert "invalid choice: 'clique'" in capsys.readouterr().err
+
+    def test_bad_vertices_propagate(self, c4_file, capsys):
+        check, _ = cli._CHECK["qk"]
         with pytest.raises(VertexRangeError):
-            verify_set(C4, {9}, "qk")
+            check(C4, {9})
+        assert cli.main(["check", "--graph", c4_file, "--set", "9",
+                         "--mode", "qk"]) == 2
+        assert capsys.readouterr().err == "error: vertex 9 out of range for n=4\n"
 
 
 class TestRandomFamily:
