@@ -18,7 +18,11 @@ class SolverLimits:
     may visit, None meaning no cap; the default of 10M nodes is about 10 s
     of search.  Every solver runs the one set-cover search, and a node is
     one vertex tried: by that search, or by the scans smallest_q_kernel
-    makes around it for a lone vertex and for the witness.
+    makes around it for a lone vertex and for the witness.  max_n = 24 stays
+    the one default because is_kernel_perfect's loop over all 2^n vertex
+    subsets needs it; a larger sparse graph is solved by passing max_n
+    (the CLI's --max-n) explicitly, and the size search solves the n = 112
+    graph gen_random_digraph(112, 0.05, True, 112000) in 139k nodes.
     """
 
     max_n: int = 24
@@ -58,14 +62,15 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     """The one exact search, as rec(members, cover, allowed, k) on G at radius q.
 
     Set-cover branching (Fomin and Kratsch, Exact Exponential Algorithms,
-    2010): some member of every q-kernel reaches the lowest uncovered vertex
-    u within q steps, so while cover is incomplete rec tries each allowed
-    such vertex in ascending order, barring the siblings tried before it,
-    and adds at most k more members.  Once cover is full it calls
-    visit(members), then extends members by each independent subset of
-    allowed.  So visit meets every independent extension of members within
-    allowed that completes cover exactly once, and rec returns True as soon
-    as visit does.  Every vertex tried costs one budget node.
+    2010): some member of every q-kernel reaches each uncovered vertex u
+    within q steps, so while cover is incomplete rec picks one such u, tries
+    each allowed vertex of its in-reach row in ascending order, barring the
+    siblings tried before it, and adds at most k more members.  Once cover
+    is full it calls visit(members), then extends members by each
+    independent subset of allowed.  So visit meets every independent
+    extension of members within allowed that completes cover exactly once,
+    whichever u each node picks, and rec returns True as soon as visit does.
+    Every vertex tried costs one budget node.
 
     A packing bound, the standard lower bound of dominating-set branch and
     bound (van Rooij and Bodlaender, "Exact algorithms for dominating set",
@@ -74,9 +79,14 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     pairwise disjoint each need a member of their own, and an uncovered
     vertex with an empty row needs one that no longer exists.  The walk
     runs only while k is below the number of uncovered vertices, the one
-    case where the count can exceed k; enumeration, has_kernel and
-    is_kernel_perfect start with k at least that number, and k minus it
-    never falls, so they never pay for the walk.
+    case where the count can exceed k.  Having built every uncovered row,
+    it picks as u the one with the fewest allowed candidates, the lowest
+    such vertex on a tie: the "fewest options first" rule of Knuth's
+    Algorithm X ("Dancing links", arXiv cs/0011047, 2000).  Otherwise u is
+    the lowest uncovered vertex.  Enumeration, has_kernel and
+    is_kernel_perfect start with k at least the uncovered count, and k
+    minus it never falls, so they never pay for the walk and always branch
+    on the lowest vertex.
     """
     full, reach, und = G.full_mask, G.reach_masks(q), G.undirected_masks
     # in-reach rows are built on first use: a small search needs few, and
@@ -91,13 +101,8 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
         if missing:
             if k == 0:
                 return False
-            u = (missing & -missing).bit_length() - 1
-            row = in_reach[u]
-            if row is None:
-                row = in_reach[u] = _reach(G.in_masks, 1 << u, q)
-            branches = row & allowed
             if k < missing.bit_count():
-                used, need, rest = 0, 0, missing
+                used, need, rest, fewest = 0, 0, missing, G.n + 1
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
@@ -108,11 +113,20 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
                     row &= allowed
                     if not row:
                         return False
+                    options = row.bit_count()
+                    if options < fewest:
+                        fewest, branches = options, row
                     if not row & used:
                         used |= row
                         need += 1
                         if need > k:
                             return False
+            else:
+                u = (missing & -missing).bit_length() - 1
+                row = in_reach[u]
+                if row is None:
+                    row = in_reach[u] = _reach(G.in_masks, 1 << u, q)
+                branches = row & allowed
         elif visit(members):
             return True
         else:

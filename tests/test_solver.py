@@ -199,6 +199,21 @@ class TestRelabelling:
             qks = {image(K) for K in enumerate_q_kernels(G, q)}
             assert qks == set(enumerate_q_kernels(H, q))
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sparse_sizes_unchanged_under_relabelling(self, seed):
+        # n = 28..40 is where the fewest-candidates branch and its lowest-label
+        # tie-break run; the minimum size must not depend on the labels
+        n = 28 + 4 * (seed % 4)
+        G = gen_random_digraph(n, 0.05, True, seed)
+        perm = list(range(n))
+        SplitMix64(seed).shuffle(perm)
+        H = Digraph(n, [(perm[u], perm[v]) for u, v in G.arcs])
+        limits = SolverLimits(max_n=64)
+        small, moved = smallest_q_kernel(G, 2, limits), smallest_q_kernel(H, 2, limits)
+        assert len(small) == len(moved)
+        assert is_q_kernel(G, small, 2) and is_q_kernel(H, moved, 2)
+        assert is_q_kernel(H, frozenset(perm[v] for v in small), 2)
+
 
 class TestDisjointPairs:
     def test_examples(self):
@@ -246,19 +261,27 @@ class TestLimits:
             enumerate_q_kernels(gen_cycle(6), 2, limits)
 
     def test_sparse_search_stays_within_budget(self):
-        # set-cover branching with the packing bound and the witness guide
-        # needs 6,323 nodes here, and 147,039 without them
+        # set-cover branching with the packing bound, the witness guide and the
+        # fewest-candidates branch needs exactly 1,648 nodes here
         G = gen_random_digraph(56, 0.05, True, 392)
-        limits = SolverLimits(max_n=64, max_subsets=20_000)
+        limits = SolverLimits(max_n=64, max_subsets=1_648)
         assert sorted(smallest_q_kernel(G, 2, limits)) == [2, 3, 4, 13, 21, 45, 46, 47]
+        with pytest.raises(ResourceLimitError, match="budget exhausted"):
+            smallest_q_kernel(G, 2, SolverLimits(max_n=64, max_subsets=1_647))
 
-    @pytest.mark.parametrize("seed, expected", [(336000, True), (336002, False)])
-    def test_kernel_existence_stops_within_budget(self, seed, expected):
-        # set-cover branching needs 3,940 and 2,845 nodes here; an ascending
-        # search over independent sets needs 61,318 and 26,139
+    @pytest.mark.parametrize(
+        "seed, expected, nodes",
+        [(336000, True, 3_940), (336002, False, 2_845)],
+        ids=["336000-True", "336002-False"],
+    )
+    def test_kernel_existence_stops_within_budget(self, seed, expected, nodes):
+        # set-cover branching needs exactly these nodes, whichever branch rule
+        # the size search uses; an ascending search over independent sets
+        # needs 61,318 and 26,139
         G = gen_random_digraph(48, 0.06, False, seed)
-        limits = SolverLimits(max_n=64, max_subsets=10_000)
-        assert has_kernel(G, limits) is expected
+        assert has_kernel(G, SolverLimits(max_n=64, max_subsets=nodes)) is expected
+        with pytest.raises(ResourceLimitError, match="budget exhausted"):
+            has_kernel(G, SolverLimits(max_n=64, max_subsets=nodes - 1))
 
     @pytest.mark.parametrize("length, nodes", [(3, 9), (4, 24), (6, 147)])
     def test_kernel_perfect_node_count(self, length, nodes):
