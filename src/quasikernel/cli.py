@@ -27,7 +27,7 @@ from .generators import (
     gen_three_hub,
     gen_tight_hairy,
 )
-from .graphio import _MAX_VERTICES, _int, format_graph, load_graph
+from .graphio import _MAX_VERTICES, _int, _lines, load_graph
 from .greedy import Ordering, cl_algorithm, modified_cl
 from .solver import (
     DEFAULT_LIMITS,
@@ -105,12 +105,16 @@ _SIDECAR = {
 }
 
 
-def _write(args, text, summary, meta=None) -> None:
-    """Write text (and meta as FILE.meta.json) to -o and say so, else to stdout."""
+def _write(args, pieces, summary, meta=None) -> None:
+    """Write pieces (and meta as FILE.meta.json) to -o and say so, else to stdout.
+
+    Each piece is written as it comes, so a large graph is never one string.
+    """
     if not args.output:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
-    Path(args.output).write_text(text, encoding="utf-8")
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces)
     if meta:
         Path(args.output + ".meta.json").write_text(
             json.dumps(meta, indent=2) + "\n", encoding="utf-8"
@@ -134,7 +138,7 @@ def _cmd_gen(args) -> int:
     G, *rest = made if keys else (made,)
     extras = dict(zip(keys, rest))
     meta = {k: form(extras[k]) for k, form in _SIDECAR.items() if k in extras}
-    _write(args, format_graph(G), f" ({G.n} vertices, {G.m} arcs)", meta)
+    _write(args, _lines(G), f" ({G.n} vertices, {G.m} arcs)", meta)
     return 0
 
 
@@ -338,7 +342,7 @@ def _cmd_sweep(args) -> int:
     )
     _write(
         args,
-        report_emit(report, args.format),
+        [report_emit(report, args.format)],
         f": {report.passes} passes, {report.skips} skips, "
         f"{len(report.violations)} violations, {report.aborted} aborted",
     )

@@ -78,13 +78,17 @@ def parse_graph(text: str) -> Digraph:
     return Digraph._trusted(n, out)
 
 
-def format_graph(G: Digraph) -> str:
-    """Serialise to the text format with arcs sorted lexicographically."""
-    lines = [f"{G.n} {G.m}"]
+def _lines(G: Digraph):
+    """The text format one line at a time: the count line, then the arcs."""
+    yield f"{G.n} {G.m}\n"
     for u, m in enumerate(G.out_masks):
         for v in _bits(m):
-            lines.append(f"{u} {v}")
-    return "\n".join(lines) + "\n"
+            yield f"{u} {v}\n"
+
+
+def format_graph(G: Digraph) -> str:
+    """Serialise to the text format with arcs sorted lexicographically."""
+    return "".join(_lines(G))
 
 
 def load_graph(path) -> Digraph:
@@ -94,4 +98,4 @@ def load_graph(path) -> Digraph:
 
 def save_graph(G: Digraph, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(G))
+        fh.writelines(_lines(G))

@@ -1,6 +1,8 @@
 """Core digraph type and predicate tests, pinned against the brute oracles."""
 
 from dataclasses import FrozenInstanceError, fields
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from quasikernel.digraph import (
     CheckReport,
     Digraph,
+    _bits,
+    _union,
     closed_in,
     closed_out,
     has_directed_odd_cycle,
@@ -25,9 +29,10 @@ from quasikernel.digraph import (
     transpose,
 )
 from quasikernel.errors import VertexRangeError
-from quasikernel.generators import enumerate_all_digraphs, gen_cycle
+from quasikernel.generators import enumerate_all_digraphs, gen_cycle, gen_random_digraph
 from quasikernel.graphio import format_graph, parse_graph
 from quasikernel.rng import SplitMix64
+from quasikernel.solver import has_kernel
 
 from oracles import (
     brute_has_odd_cycle,
@@ -145,6 +150,44 @@ class TestMasks:
             C3.reach_masks(-1)
         with pytest.raises(ValueError):
             Digraph(0).reach_masks(-1)
+
+    @settings(max_examples=60)
+    @given(digraphs(max_n=8))
+    def test_each_view_matches_its_definition_whichever_is_read_first(self, G):
+        def mask(vs):
+            return sum(1 << v for v in vs)
+
+        ins = [{u for u in range(G.n) if v in G.out_adj[u]} for v in range(G.n)]
+        expected = {
+            "in_masks": tuple(mask(i) for i in ins),
+            "closed1_masks": tuple(mask(reach_within(G, v, 1)) for v in range(G.n)),
+            "closed2_masks": tuple(mask(reach_within(G, v, 2)) for v in range(G.n)),
+            "undirected_masks": tuple(
+                mask(set(G.out_adj[v]) | ins[v]) for v in range(G.n)
+            ),
+        }
+        for first in expected:
+            H = Digraph._trusted(G.n, G.out_masks)
+            getattr(H, first)
+            assert {view: getattr(H, view) for view in expected} == expected
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_union_of_wide_masks(self, data):
+        row = st.integers(0, (1 << 200) - 1)
+        rows = data.draw(st.lists(row, min_size=65, max_size=130))
+        mask = data.draw(st.integers(1 << 64, (1 << len(rows)) - 1))
+        assert _union(rows, mask) == reduce(or_, (rows[v] for v in _bits(mask)), 0)
+        assert _union([1 << v for v in range(len(rows))], mask) == mask
+
+    def test_q1_checks_leave_closed2_unbuilt(self):
+        # closed2_masks walks every arc: on n = 2000, p = 0.5 that is about
+        # 1,000 times what a q = 1 check costs
+        for G in (C4, gen_cycle(5), gen_random_digraph(12, 0.3, False, 1)):
+            for check in (lambda H: is_kernel(H, {0}), has_kernel):
+                H = Digraph._trusted(G.n, G.out_masks)
+                check(H)
+                assert "closed2_masks" not in H.__dict__
 
 
 class TestCheckReport:

@@ -38,6 +38,13 @@ def test_round_trip_file(tmp_path):
     assert load_graph(path) == G
 
 
+def test_save_writes_the_format_text(tmp_path):
+    G = Digraph(4, [(2, 0), (0, 2), (0, 1)])  # vertices 1 and 3 have no arcs
+    path = tmp_path / "g.txt"
+    save_graph(G, path)
+    assert path.read_text(encoding="utf-8") == format_graph(G) == "4 3\n0 1\n0 2\n2 0\n"
+
+
 @settings(max_examples=60)
 @given(st.integers(0, 6), st.data())
 def test_round_trip_random(n, data):
