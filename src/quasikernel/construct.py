@@ -210,10 +210,11 @@ class HairyPartition:
     @classmethod
     def from_digraph(cls, G: Digraph) -> "HairyPartition":
         """Infer the partition: hairs are the out-degree-0, in-degree-1 vertices."""
+        ins = G.in_masks
         hairs = frozenset(
-            v for v in range(G.n) if not G.out_adj[v] and len(G.in_adj[v]) == 1
+            v for v in range(G.n) if not G.out_masks[v] and ins[v].bit_count() == 1
         )
-        owner = {h: G.in_adj[h][0] for h in sorted(hairs)}
+        owner = {h: ins[h].bit_length() - 1 for h in sorted(hairs)}
         return cls(frozenset(range(G.n)) - hairs, hairs, owner)
 
     def validate(self, G: Digraph, relaxed: bool = False):
@@ -237,27 +238,27 @@ class HairyPartition:
             raise PreconditionError("owner map keys must be exactly the hairs")
         a_mask = _mask_of(A, G.n)
         for h in sorted(I):
-            if G.out_adj[h]:
+            if G.out_masks[h]:
                 raise PreconditionError(f"hair {h} has out-arcs")
-            ins = G.in_adj[h]
+            ins = G.in_masks[h]
             if relaxed:
                 if not ins:
                     raise PreconditionError(f"hair {h} has no in-arc")
-                if _mask_of(ins, G.n) & ~a_mask:
+                if ins & ~a_mask:
                     raise PreconditionError(
                         f"hair {h} has an in-arc from outside the tournament part"
                     )
-                if self.owner[h] not in ins:
+                if self.owner[h] not in _bits(ins):  # a shift by -1 would raise
                     raise PreconditionError(
                         f"owner of hair {h} is not one of its in-neighbors"
                     )
             else:
-                if len(ins) != 1 or ins[0] not in A:
+                if ins.bit_count() != 1 or not ins & a_mask:
                     raise PreconditionError(
                         f"hair {h} must have exactly one in-arc, from the "
                         f"tournament part"
                     )
-                if self.owner[h] != ins[0]:
+                if self.owner[h] != ins.bit_length() - 1:
                     raise PreconditionError(
                         f"owner of hair {h} must be its unique in-neighbor"
                     )
@@ -364,7 +365,7 @@ def _validate_unicyclic(G: Digraph) -> list[int]:
     if src:
         raise StructureError(f"source vertex {min(src)}")
     # every in-degree is exactly 1 now, so n predecessor steps end on the cycle
-    pred = [G.in_adj[v][0] for v in range(n)]
+    pred = [m.bit_length() - 1 for m in G.in_masks]
     v = 0
     for _ in range(n):
         v = pred[v]

@@ -24,7 +24,8 @@ class Digraph:
     """Finite loopless digraph on vertices 0..n-1 with at most one copy of each arc.
 
     Only n and out_masks are stored; bit v of out_masks[u] is set when u -> v.
-    Every other view is a cached_property built on its own first read, so
+    The mask views in_masks, closed1_masks, closed2_masks, undirected_masks
+    and full_mask are each a cached_property built on its own first read, so
     a q = 1 check never builds closed2_masks.  in_masks, closed2_masks and
     _union walk set bits by hand, highest first (v = m.bit_length() - 1;
     m ^= 1 << v): no generator, no negation, and the mask shrinks as it
@@ -78,14 +79,6 @@ class Digraph:
 
     # Derived views.  Masks make subset containment and closed-neighbourhood
     # unions cheap; every search in the package runs on them.
-
-    @cached_property
-    def out_adj(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_bits(m)) for m in self.out_masks)
-
-    @cached_property
-    def in_adj(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(_bits(m)) for m in self.in_masks)
 
     @cached_property
     def full_mask(self) -> int:

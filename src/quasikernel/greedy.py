@@ -80,14 +80,13 @@ def cl_algorithm(G: Digraph, ordering: Ordering) -> VertexSet:
 
 def _back_violation(G: Digraph, ordering: Ordering):
     """First position pair (i, j), i < j, with a back arc lacking its reverse."""
-    perm = ordering.perm
-    out = G.out_masks
-    for i in range(len(perm)):
-        vi = perm[i]
-        for j in range(i + 1, len(perm)):
-            vj = perm[j]
-            if (out[vj] >> vi) & 1 and not (out[vi] >> vj) & 1:
-                return i, j
+    perm, out, inn = ordering.perm, G.out_masks, G.in_masks
+    later = G.full_mask  # the vertices after position i
+    for i, vi in enumerate(perm):
+        later ^= 1 << vi
+        bad = later & inn[vi] & ~out[vi]
+        if bad:
+            return i, next(j for j in range(i + 1, len(perm)) if bad >> perm[j] & 1)
     return None
 
 

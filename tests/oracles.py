@@ -4,19 +4,30 @@ Everything here works on plain sets and explicit adjacency scans so the main
 code can be checked against an independently written baseline.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 from quasikernel.digraph import induced
 
 
+@lru_cache(maxsize=1024)
+def adjacency(masks):
+    """Each mask as the ascending tuple of its set bits, by a plain scan.
+
+    adjacency(G.out_masks)[u] lists the out-neighbours of u.
+    """
+    return tuple(tuple(v for v in range(m.bit_length()) if m >> v & 1) for m in masks)
+
+
 def reach_within(G, start, q):
     """Vertices reachable from start in at most q arc steps, start included."""
+    out = adjacency(G.out_masks)
     seen = {start}
     frontier = {start}
     for _ in range(q):
         nxt = set()
         for u in frontier:
-            nxt.update(G.out_adj[u])
+            nxt.update(out[u])
         frontier = nxt - seen
         seen |= nxt
     return seen
@@ -30,13 +41,11 @@ def set_reach(G, S, q):
 
 
 def independent(G, S):
-    return all(v not in G.out_adj[u] for u in S for v in S)
+    return all(v not in adjacency(G.out_masks)[u] for u in S for v in S)
 
 
 def brute_sources(G):
-    with_in = set()
-    for u in range(G.n):
-        with_in.update(G.out_adj[u])
+    with_in = {v for _, v in G.arcs}
     return {v for v in range(G.n) if v not in with_in}
 
 
@@ -66,9 +75,11 @@ def brute_smallest(G, q=2):
 def brute_has_odd_cycle(G):
     """Search simple directed cycles, anchored at their minimum vertex."""
 
+    out = adjacency(G.out_masks)
+
     def dfs(start, path, on_path):
         u = path[-1]
-        for v in G.out_adj[u]:
+        for v in out[u]:
             if v == start and len(path) % 2 == 1:
                 return True
             if v > start and v not in on_path:
@@ -96,12 +107,7 @@ def brute_is_kernel_perfect(G):
         for combo in combinations(verts, r):
             keep = set(combo)
             relabel = {v: i for i, v in enumerate(sorted(keep))}
-            arcs = [
-                (relabel[u], relabel[v])
-                for u in keep
-                for v in G.out_adj[u]
-                if v in keep
-            ]
+            arcs = [(relabel[u], relabel[v]) for u, v in G.arcs if {u, v} <= keep]
             sub = type(G)(len(keep), arcs)
             if not brute_kernels(sub):
                 return False, frozenset(keep)
@@ -120,10 +126,20 @@ def two_phase_greedy(G, perm):
         for v in order:
             if v not in covered:
                 picks.append(v)
-                covered |= {v, *H.out_adj[v]}
+                covered |= {v, *adjacency(H.out_masks)[v]}
         return picks
 
     first = scan(G, perm)
     H, relabel = induced(G, first)
     back = {i: v for v, i in relabel.items()}
     return frozenset(back[i] for i in scan(H, [relabel[v] for v in reversed(first)]))
+
+
+def back_violation(G, perm):
+    """First position pair (i, j), i < j, with an arc perm[j] -> perm[i] but none back."""
+    arcs = set(G.arcs)
+    for i in range(len(perm)):
+        for j in range(i + 1, len(perm)):
+            if (perm[j], perm[i]) in arcs and (perm[i], perm[j]) not in arcs:
+                return i, j
+    return None

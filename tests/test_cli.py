@@ -10,6 +10,7 @@ from quasikernel.cli import _build_parser, main
 from quasikernel.graphio import load_graph, save_graph
 from quasikernel.generators import gen_cycle
 from quasikernel.digraph import Digraph
+from quasikernel.errors import VerificationError
 from quasikernel.solver import DEFAULT_LIMITS
 from quasikernel.sweep import SweepReport
 
@@ -614,6 +615,16 @@ class TestErrorsAndUsage:
         assert main([args[0], "--graph", c5_file, *args[1:], f"0,{token}"]) == 2
         err = capsys.readouterr().err
         assert f"argument {args[-1]}: {token!r} is not an integer" in err
+
+    def test_failed_verification_exits_one(self, monkeypatch, c5_file, capsys):
+        def fail(G, args):
+            raise VerificationError("selection [0] fails the quasi-kernel check")
+
+        monkeypatch.setitem(cli._CONSTRUCT, "unicyclic", ((), fail))
+        assert main(["construct", "--graph", c5_file, "--method", "unicyclic"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: selection [0] fails the quasi-kernel check\n"
 
     def test_usage_errors(self):
         assert main([]) == 2

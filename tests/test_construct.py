@@ -251,6 +251,18 @@ class TestHairyPartition:
         with pytest.raises(PreconditionError, match="not one of its in-neighbors"):
             part.validate(G, relaxed=True)
 
+    @pytest.mark.parametrize("owner", [-1, 4])
+    def test_owner_outside_the_vertex_range(self, owner):
+        # an owner that is no vertex at all fails like any wrong owner
+        G = Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+        part = HairyPartition({0, 1, 2}, {3}, {3: owner})
+        with pytest.raises(PreconditionError) as strict:
+            part.validate(G)
+        assert str(strict.value) == "owner of hair 3 must be its unique in-neighbor"
+        with pytest.raises(PreconditionError) as relaxed:
+            part.validate(G, relaxed=True)
+        assert str(relaxed.value) == "owner of hair 3 is not one of its in-neighbors"
+
     def test_relaxed_rejects_in_arc_from_a_hair(self):
         G = Digraph(5, [(0, 1), (1, 2), (2, 0), (0, 3), (4, 3), (1, 4)])
         part = HairyPartition({0, 1, 2}, {3, 4}, {3: 0, 4: 1})
@@ -366,9 +378,10 @@ class TestFindKing:
     @given(tournaments(max_n=8))
     def test_king_properties(self, G):
         king = find_king(G)
-        best = max(len(G.out_adj[v]) for v in range(G.n))
-        assert len(G.out_adj[king]) == best
-        assert all(len(G.out_adj[v]) < best for v in range(king))
+        degree = [m.bit_count() for m in G.out_masks]
+        best = max(degree)
+        assert degree[king] == best
+        assert all(degree[v] < best for v in range(king))
         assert is_q_kernel(G, {king}, 2) or G.n == 0
 
 

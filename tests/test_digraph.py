@@ -35,6 +35,7 @@ from quasikernel.rng import SplitMix64
 from quasikernel.solver import has_kernel
 
 from oracles import (
+    adjacency,
     brute_has_odd_cycle,
     brute_q_kernels,
     brute_sccs,
@@ -52,7 +53,7 @@ PAIR = Digraph(2, [(0, 1), (1, 0)])
 
 def expected_report(G, S, covered):
     """The smallest arc inside S, else the lowest vertex outside covered."""
-    inside = sorted((u, v) for u in S for v in G.out_adj[u] if v in S)
+    inside = sorted((u, v) for u, v in G.arcs if u in S and v in S)
     if inside:
         return CheckReport(False, inside[0])
     missing = set(range(G.n)) - covered
@@ -62,8 +63,8 @@ def expected_report(G, S, covered):
 class TestConstruction:
     def test_adjacency_is_sorted_and_mirrored(self):
         G = Digraph(4, [(2, 0), (2, 3), (2, 1), (0, 2)])
-        assert G.out_adj == ((2,), (), (0, 1, 3), ())
-        assert G.in_adj == ((2,), (2,), (0,), (2,))
+        assert adjacency(G.out_masks) == ((2,), (), (0, 1, 3), ())
+        assert adjacency(G.in_masks) == ((2,), (2,), (0,), (2,))
         assert G.m == 4
         assert G.arcs == ((0, 2), (2, 0), (2, 1), (2, 3))
 
@@ -107,11 +108,11 @@ class TestConstruction:
         ):
             assert H == G and hash(H) == hash(G)
             assert H.out_masks == G.out_masks
-            assert H.out_adj == G.out_adj and H.in_adj == G.in_adj
+            assert H.in_masks == G.in_masks
         ins = [[] for _ in range(G.n)]
         for u, v in G.arcs:
             ins[v].append(u)
-        assert G.in_adj == tuple(tuple(sorted(i)) for i in ins)
+        assert adjacency(G.in_masks) == tuple(tuple(sorted(i)) for i in ins)
         assert sources(G) == {v for v in range(G.n) if not ins[v]}
         assert [f.name for f in fields(G)] == ["n", "out_masks"]
         with pytest.raises(FrozenInstanceError):
@@ -157,13 +158,14 @@ class TestMasks:
         def mask(vs):
             return sum(1 << v for v in vs)
 
-        ins = [{u for u in range(G.n) if v in G.out_adj[u]} for v in range(G.n)]
+        out = adjacency(G.out_masks)
+        ins = [{u for u in range(G.n) if v in out[u]} for v in range(G.n)]
         expected = {
             "in_masks": tuple(mask(i) for i in ins),
             "closed1_masks": tuple(mask(reach_within(G, v, 1)) for v in range(G.n)),
             "closed2_masks": tuple(mask(reach_within(G, v, 2)) for v in range(G.n)),
             "undirected_masks": tuple(
-                mask(set(G.out_adj[v]) | ins[v]) for v in range(G.n)
+                mask(set(out[v]) | ins[v]) for v in range(G.n)
             ),
         }
         for first in expected:
@@ -213,6 +215,11 @@ class TestNeighborhoods:
         assert closed_out(path, {0}, 2) == {0, 1, 2}
         assert closed_out(path, {0}, 0) == {0}
 
+    def test_closures_reject_negative_q(self):
+        for closure in (closed_out, closed_in):
+            with pytest.raises(ValueError, match="q must be non-negative"):
+                closure(C3, {0}, -1)
+
     def test_closed_in_mirrors_transpose(self):
         path = Digraph(3, [(0, 1), (1, 2)])
         assert closed_in(path, {2}, 2) == {0, 1, 2}
@@ -224,7 +231,8 @@ class TestNeighborhoods:
         S = data.draw(st.sets(st.integers(0, max(G.n - 1, 0)), max_size=G.n)) if G.n else set()
         assert closed_out(G, S, q) == set_reach(G, S, q) | set(S)
         assert closed_in(G, S, q) == closed_out(transpose(G), S, q)
-        assert out_neighbors(G, S) == {v for u in S for v in G.out_adj[u]}
+        out = adjacency(G.out_masks)
+        assert out_neighbors(G, S) == {v for u in S for v in out[u]}
 
     @pytest.mark.parametrize(
         "G", [gen_cycle(7), Digraph(6, [(i, i + 1) for i in range(5)])]

@@ -9,7 +9,12 @@ from hypothesis import strategies as st
 from quasikernel import greedy
 from quasikernel.digraph import Digraph, is_independent, is_q_kernel
 from quasikernel.errors import PreconditionError, VerificationError
-from quasikernel.generators import gen_random_digraph, gen_three_hub
+from quasikernel.generators import (
+    enumerate_all_digraphs,
+    gen_cycle,
+    gen_random_digraph,
+    gen_three_hub,
+)
 from quasikernel.greedy import (
     Ordering,
     _greedy_scan,
@@ -18,7 +23,7 @@ from quasikernel.greedy import (
     ordering_has_symmetric_back_property,
 )
 
-from oracles import two_phase_greedy
+from oracles import back_violation, two_phase_greedy
 from strategies import digraphs, source_free_digraphs
 
 C3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -125,6 +130,50 @@ class TestBackProperty:
         G = Digraph(2, [(1, 0)])
         assert not ordering_has_symmetric_back_property(G, Ordering.natural(2))
         assert ordering_has_symmetric_back_property(G, Ordering((1, 0)))
+
+
+class TestBackViolation:
+    """The one-row-per-position scan against the pair loop in oracles."""
+
+    def test_every_digraph_up_to_four_vertices_under_every_ordering(self):
+        for n in range(5):
+            orderings = [Ordering(p) for p in permutations(range(n))]
+            for G in enumerate_all_digraphs(n):
+                for ordering in orderings:
+                    pair = back_violation(G, ordering.perm)
+                    assert greedy._back_violation(G, ordering) == pair
+                    assert ordering_has_symmetric_back_property(G, ordering) == (
+                        pair is None
+                    )
+
+    def test_symmetric_graphs_with_one_arc_dropped(self):
+        for seed in range(150):
+            n = 3 + seed % 10
+            # a symmetric cycle plus random chords: every vertex keeps an
+            # in-arc after any one arc is dropped
+            edges = set(gen_cycle(n).arcs) | set(
+                gen_random_digraph(n, (0.1, 0.3, 0.6)[seed % 3], False, seed).arcs
+            )
+            arcs = sorted(edges | {(v, u) for u, v in edges})
+            k = seed % len(arcs)
+            full, dropped = Digraph(n, arcs), Digraph(n, arcs[:k] + arcs[k + 1 :])
+            orderings = (Ordering.natural(n), Ordering.shuffled(n, seed))
+            for G in (full, dropped):
+                for ordering in orderings:
+                    pair = back_violation(G, ordering.perm)
+                    assert greedy._back_violation(G, ordering) == pair
+                    if pair is None:
+                        assert 2 * len(modified_cl(G, ordering)) <= n
+                        continue
+                    i, j = pair
+                    u, v = ordering.perm[j], ordering.perm[i]
+                    with pytest.raises(PreconditionError) as exc:
+                        modified_cl(G, ordering)
+                    assert str(exc.value) == (
+                        f"ordering violates the symmetric back property at positions "
+                        f"({i}, {j}): arc {u}->{v} has no reverse companion"
+                    )
+            assert all(back_violation(full, o.perm) is None for o in orderings)
 
 
 class TestModifiedCl:

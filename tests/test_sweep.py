@@ -421,7 +421,7 @@ class TestRandomFamily:
         assert len(a) == 25
         for G in a:
             assert 2 <= G.n <= 6
-            assert all(G.in_adj[v] for v in range(G.n))
+            assert all(G.in_masks)
 
     def test_validation(self):
         with pytest.raises(ValueError):
