@@ -87,6 +87,10 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     is_kernel_perfect start with k at least the uncovered count, and k
     minus it never falls, so they never pay for the walk and always branch
     on the lowest vertex.
+
+    A node whose cover is incomplete returns at once when k is 0 or allowed
+    is empty.  With no vertex to try it would only build an in-reach row, so
+    the cut moves no node count.
     """
     full, reach, und = G.full_mask, G.reach_masks(q), G.undirected_masks
     # in-reach rows are built on first use: a small search needs few, and
@@ -99,7 +103,7 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     def rec(members, cover, allowed, k):
         missing = full & ~cover
         if missing:
-            if k == 0:
+            if k == 0 or not allowed:
                 return False
             if k < missing.bit_count():
                 used, need, rest, fewest = 0, 0, missing, G.n + 1

@@ -16,10 +16,9 @@ from typing import Callable
 from .construct import _max_out_degree_vertex
 from .digraph import (
     Digraph,
-    _set_of,
+    _large_qk,
     has_directed_odd_cycle,
     is_kernel,
-    is_large_qk,
     is_q_kernel,
     is_tournament,
     sources,
@@ -108,10 +107,28 @@ def _applies_moon(G, limits):
     return G.n > 0 and is_tournament(G) and not sources(G)
 
 
+def _count_q_kernels(G, q, limits, cap):
+    """How many q-kernels G has, counted up to cap and no further.
+
+    The counting claims all compare the count with a threshold, so the
+    search stops at the hit that settles it; only a violation enumerates
+    every quasi-kernel, for its witness text.
+    """
+    hits = 0
+
+    def visit(mask):
+        nonlocal hits
+        hits += 1
+        return hits == cap
+
+    _any_q_kernel(G, q, limits, visit)
+    return hits
+
+
 def _check_at_least_three(G, limits):
-    qks = enumerate_q_kernels(G, 2, limits)
-    if len(qks) >= 3:
+    if _count_q_kernels(G, 2, limits, 3) == 3:
         return True, None
+    qks = enumerate_q_kernels(G, 2, limits)
     listed = [sorted(q) for q in qks]
     return False, f"only {len(qks)} quasi-kernels: {listed}"
 
@@ -121,18 +138,18 @@ def _applies_no_kernel(G, limits):
 
 
 def _check_gutin(G, limits):
-    qks = enumerate_q_kernels(G, 2, limits)
-    unique = len(qks) == 1
+    unique = _count_q_kernels(G, 2, limits, 2) == 1
     src_is_kernel = bool(is_kernel(G, sources(G)))
     if unique == src_is_kernel:
         return True, None
     return False, (
-        f"{len(qks)} quasi-kernels while sources-form-a-kernel is {src_is_kernel}"
+        f"{len(enumerate_q_kernels(G, 2, limits))} quasi-kernels while "
+        f"sources-form-a-kernel is {src_is_kernel}"
     )
 
 
 def _applies_exactly_two(G, limits):
-    return len(enumerate_q_kernels(G, 2, limits)) == 2
+    return _count_q_kernels(G, 2, limits, 3) == 2
 
 
 def _check_croitoru(G, limits):
@@ -176,7 +193,7 @@ def _check_spiro(G, limits):
 
 
 def _check_large_exists(G, limits):
-    if _any_q_kernel(G, 2, limits, lambda mask: bool(is_large_qk(G, _set_of(mask)))):
+    if _any_q_kernel(G, 2, limits, lambda mask: bool(_large_qk(G, mask))):
         return True, None
     return False, "no quasi-kernel reaches half the vertices within one step"
 

@@ -288,6 +288,12 @@ class TestBlownUpDegrees:
     def test_max_degree_covers_half_the_blow_up(self, m, max_hairs, seed):
         G, part = gen_random_hairy(m, max_hairs, seed)
         degs = _blown_up_degrees(G, part)
+        # each root beats whole blocks: itself plus the hairs it owns
+        block = {a: 1 + list(part.owner.values()).count(a) for a in part.tournament_part}
+        assert degs == {
+            a: block[a] - 1 + sum(block[b] for b in block if G.out_masks[a] >> b & 1)
+            for a in sorted(block)
+        }
         assert max(degs.values()) >= (G.n - 1) / 2
         # degrees count each beaten block once, so they sum over pairs
         assert sum(degs.values()) <= G.n * (G.n - 1) // 2

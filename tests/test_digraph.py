@@ -1,5 +1,6 @@
 """Core digraph type and predicate tests, pinned against the brute oracles."""
 
+import pickle
 from dataclasses import FrozenInstanceError, fields
 from functools import reduce
 from operator import or_
@@ -190,6 +191,16 @@ class TestMasks:
                 H = Digraph._trusted(G.n, G.out_masks)
                 check(H)
                 assert "closed2_masks" not in H.__dict__
+
+    def test_views_are_built_once_and_survive_pickling(self):
+        views = ("full_mask", "in_masks", "closed1_masks", "closed2_masks", "undirected_masks")
+        G = gen_random_digraph(9, 0.3, False, 4)
+        assert not set(views) & set(G.__dict__)
+        first = [getattr(G, view) for view in views]
+        assert all(getattr(G, view) is seen for view, seen in zip(views, first))
+        H = pickle.loads(pickle.dumps(G))
+        assert H == G and H.out_masks == G.out_masks
+        assert [getattr(H, view) for view in views] == first
 
 
 class TestCheckReport:

@@ -12,7 +12,7 @@ import pytest
 
 from quasikernel import cli, sweep
 from quasikernel.digraph import Digraph
-from quasikernel.errors import VertexRangeError
+from quasikernel.errors import ResourceLimitError, VertexRangeError
 from quasikernel.generators import (
     Family,
     enumerate_all_digraphs,
@@ -21,12 +21,13 @@ from quasikernel.generators import (
     gen_random_digraph,
 )
 from quasikernel.graphio import format_graph, save_graph
-from quasikernel.solver import SolverLimits
+from quasikernel.solver import SolverLimits, enumerate_q_kernels
 from quasikernel.sweep import (
     CLAIMS,
     Claim,
     SweepReport,
     Violation,
+    _count_q_kernels,
     random_source_free_family,
     report_emit,
     run_claim,
@@ -136,6 +137,30 @@ class TestRunClaim:
                 2 * len(set_reach(G, Q, 1)) >= G.n for Q in brute_q_kernels(G)
             )
             assert check(G, SolverLimits())[0] == expected
+
+    @pytest.mark.parametrize(
+        "claim_id, tournaments, n, counts",
+        [("croitoru-two", False, 4, (4096, 936, 3160, 0, 0)),
+         ("richardson", False, 4, (4096, 1699, 2397, 0, 0)),
+         ("gutin-unique", True, 5, (1024, 1024, 0, 0, 0)),
+         ("moon", True, 1, (1, 0, 1, 0, 0)),
+         ("moon", True, 2, (2, 0, 2, 0, 0)),
+         ("moon", True, 3, (8, 2, 6, 0, 0)),
+         ("moon", True, 4, (64, 32, 32, 0, 0)),
+         ("moon", True, 5, (1024, 704, 320, 0, 0)),
+         ("moon", True, 6, (32768, 26624, 6144, 0, 0)),
+         ("jacob-meyniel", False, 3, (64, 2, 62, 0, 0)),
+         ("jacob-meyniel", False, 4, (4096, 214, 3882, 0, 0))],
+    )
+    def test_counting_claims_pinned(self, claim_id, tournaments, n, counts):
+        # a counting claim that stops at the wrong count moves passes and
+        # skips even where it finds no violation
+        enum = enumerate_all_tournaments if tournaments else enumerate_all_digraphs
+        report = run_claim(CLAIMS[claim_id], enum(n))
+        assert (
+            report.instances, report.passes, report.skips, report.aborted,
+            len(report.violations),
+        ) == counts
 
     def test_spiro_violation_on_the_two_cycle(self):
         report = run_claim(
@@ -328,6 +353,43 @@ class TestRunClaim:
         a = SweepReport("kls", "f", 1, 1, 0, 0, (), 1.0, None)
         b = SweepReport("kls", "f", 1, 1, 0, 0, (), 2.0, None)
         assert a == b
+
+
+class TestCountQKernels:
+    def test_counts_up_to_the_cap(self):
+        graphs = [G for n in range(5) for G in enumerate_all_digraphs(n)]
+        graphs += list(enumerate_all_tournaments(5))
+        for G in graphs:
+            for q in (1, 2, 3):
+                total = len(enumerate_q_kernels(G, q))
+                for cap in (1, 2, 3, 4):
+                    assert _count_q_kernels(G, q, None, cap) == min(cap, total)
+
+    def test_counting_checks_match_the_oracle_count(self):
+        # called whether or not each hypothesis holds, so a wrong threshold
+        # shows even though the registered claims are true
+        limits = SolverLimits()
+        for G in (G for n in range(5) for G in enumerate_all_digraphs(n)):
+            qks = brute_q_kernels(G)
+            listed = sorted((sorted(Q) for Q in qks), key=lambda Q: (len(Q), Q))
+            at_least_three = CLAIMS["moon"].check(G, limits)
+            if len(qks) >= 3:
+                assert at_least_three == (True, None)
+            else:
+                assert at_least_three == (False, f"only {len(qks)} quasi-kernels: {listed}")
+            assert CLAIMS["gutin-unique"].check(G, limits) == (True, None)
+            assert CLAIMS["croitoru-two"].applies(G, limits) == (len(qks) == 2)
+
+    def test_stops_at_the_cap(self):
+        # every vertex of the regular 5-tournament is a quasi-kernel by
+        # itself; counting two of them takes two nodes, listing all five
+        # takes five
+        T = Digraph(5, [(u, (u + d) % 5) for u in range(5) for d in (1, 2)])
+        assert _count_q_kernels(T, 2, SolverLimits(max_subsets=2), 2) == 2
+        with pytest.raises(ResourceLimitError):
+            _count_q_kernels(T, 2, SolverLimits(max_subsets=1), 2)
+        with pytest.raises(ResourceLimitError):
+            enumerate_q_kernels(T, 2, SolverLimits(max_subsets=2))
 
 
 class TestReportEmit:
