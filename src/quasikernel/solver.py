@@ -17,8 +17,12 @@ class SolverLimits:
     max_n caps the vertex count.  max_subsets caps the search nodes a call
     may visit, None meaning no cap; the default of 10M nodes is about 10 s
     of search.  Every solver runs the one set-cover search, and a node is
-    one vertex tried: by that search, or by the scans smallest_q_kernel
-    makes around it for a lone vertex and for the witness.  max_n = 24 stays
+    one vertex tried: by that search, or by a scan around it.
+    smallest_q_kernel and q_kernel_at_most scan for a lone-vertex q-kernel
+    first and for the witness after; the sweep's counting claims
+    (gutin-unique, croitoru-two, moon, jacob-meyniel) and large-qk-exists
+    make the same lone-vertex scan first, from the budget their search then
+    uses.  Each vertex a scan tries is one node.  max_n = 24 stays
     the one default because is_kernel_perfect's loop over all 2^n vertex
     subsets needs it; a larger sparse graph is solved by passing max_n
     (the CLI's --max-n) explicitly, and the size search solves the n = 112
@@ -51,8 +55,9 @@ class _Budget:
             raise ResourceLimitError("candidate subset budget exhausted")
 
 
-def _budget(G: Digraph, limits: SolverLimits) -> _Budget:
+def _budget(G: Digraph, limits: SolverLimits | None) -> _Budget:
     """A fresh node budget for a search on G, once G passes the max_n guard."""
+    limits = limits or DEFAULT_LIMITS
     if G.n > limits.max_n:
         raise ResourceLimitError(f"n={G.n} exceeds max_n={limits.max_n}")
     return _Budget(limits.max_subsets)
@@ -148,13 +153,26 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     return rec
 
 
+def _singletons(reach, full: int, budget: _Budget):
+    """Each v with reach[v] == full, ascending: with reach = G.reach_masks(q),
+    the vertices v for which {v} is a q-kernel of G.
+
+    Every vertex tried costs one budget node, and the scan stops when its
+    caller does.  It reads nothing but reach, so a graph that it settles
+    never builds in_masks, undirected_masks or an in-reach row.
+    """
+    for v, row in enumerate(reach):
+        budget.spend()
+        if row == full:
+            yield v
+
+
 def _first(members) -> bool:
     return True
 
 
-def _any_q_kernel(G: Digraph, q: int, limits: SolverLimits | None, visit) -> bool:
+def _any_q_kernel(G: Digraph, q: int, budget: _Budget, visit) -> bool:
     """Call visit on each q-kernel mask of G until it returns True; whether it did."""
-    budget = _budget(G, limits or DEFAULT_LIMITS)
     return _search(G, q, budget, visit)(0, 0, G.full_mask, G.n)
 
 
@@ -163,7 +181,7 @@ def enumerate_q_kernels(G: Digraph, q: int = 2, limits: SolverLimits | None = No
     if q < 1:
         raise ValueError("q must be at least 1")
     hits = []
-    _any_q_kernel(G, q, limits, hits.append)
+    _any_q_kernel(G, q, _budget(G, limits), hits.append)
     sets = [_set_of(m) for m in hits]
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 
@@ -174,11 +192,11 @@ def enumerate_kernels(G: Digraph, limits: SolverLimits | None = None):
 
 
 def has_kernel(G: Digraph, limits: SolverLimits | None = None) -> bool:
-    return _any_q_kernel(G, 1, limits, _first)
+    return _any_q_kernel(G, 1, _budget(G, limits), _first)
 
 
 def _smallest(
-    G: Digraph, q: int, limits: SolverLimits, cap: int
+    G: Digraph, q: int, limits: SolverLimits | None, cap: int
 ) -> VertexSet | None:
     """Lexicographically smallest minimum q-kernel if it has at most cap members.
 
@@ -200,13 +218,12 @@ def _smallest(
         return frozenset()
     if cap < 1:
         return None
-    reach = G.reach_masks(q)
-    # a lone vertex that reaches all of V answers most small graphs; this scan
+    # a lone vertex that reaches all of V answers most small graphs; the scan
     # spares them the masks the search builds
-    for v in range(n):
-        budget.spend()
-        if reach[v] == full:
-            return frozenset({v})
+    reach = G.reach_masks(q)
+    lone = next(_singletons(reach, full, budget), None)
+    if lone is not None:
+        return frozenset({lone})
     und = G.undirected_masks
     found = []
 
@@ -245,7 +262,7 @@ def q_kernel_at_most(
     """The smallest_q_kernel answer if it has at most max_size vertices, else None."""
     if max_size < 0:
         raise ValueError("max_size must be non-negative")
-    return _smallest(G, q, limits or DEFAULT_LIMITS, max_size)
+    return _smallest(G, q, limits, max_size)
 
 
 def smallest_q_kernel(
@@ -255,7 +272,7 @@ def smallest_q_kernel(
 
     None is possible only for q=1, where kernels may not exist.
     """
-    return _smallest(G, q, limits or DEFAULT_LIMITS, G.n)
+    return _smallest(G, q, limits, G.n)
 
 
 def has_two_disjoint_qks(
@@ -276,7 +293,7 @@ def is_kernel_perfect(G: Digraph, limits: SolverLimits | None = None):
     Returns (True, None) or (False, witness) where witness is the first
     kernel-free vertex subset in size-ascending, then lexicographic, order.
     """
-    budget = _budget(G, limits or DEFAULT_LIMITS)
+    budget = _budget(G, limits)
     has_kernel_on = _search(G, 1, budget, _first)
     for size in range(1, G.n + 1):
         for combo in combinations(range(G.n), size):

@@ -11,6 +11,7 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import islice
 from typing import Callable
 
 from .construct import _max_out_degree_vertex
@@ -30,6 +31,8 @@ from .solver import (
     DEFAULT_LIMITS,
     SolverLimits,
     _any_q_kernel,
+    _budget,
+    _singletons,
     _twice_kls_bound,
     enumerate_q_kernels,
     has_kernel,
@@ -111,9 +114,16 @@ def _count_q_kernels(G, q, limits, cap):
     """How many q-kernels G has, counted up to cap and no further.
 
     The counting claims all compare the count with a threshold, so the
-    search stops at the hit that settles it; only a violation enumerates
-    every quasi-kernel, for its witness text.
+    count stops at the q-kernel that settles it; only a violation enumerates
+    every quasi-kernel, for its witness text.  Lone-vertex q-kernels are
+    scanned first, and cap of them settle the count with no search.
+    Otherwise the search counts every q-kernel, singletons included, from
+    the same node budget.
     """
+    budget = _budget(G, limits)
+    lone = _singletons(G.reach_masks(q), G.full_mask, budget)
+    if len(list(islice(lone, cap))) == cap:
+        return cap
     hits = 0
 
     def visit(mask):
@@ -121,7 +131,7 @@ def _count_q_kernels(G, q, limits, cap):
         hits += 1
         return hits == cap
 
-    _any_q_kernel(G, q, limits, visit)
+    _any_q_kernel(G, q, budget, visit)
     return hits
 
 
@@ -193,7 +203,14 @@ def _check_spiro(G, limits):
 
 
 def _check_large_exists(G, limits):
-    if _any_q_kernel(G, 2, limits, lambda mask: bool(_large_qk(G, mask))):
+    # a lone quasi-kernel {v} is large when v's closed out-neighbourhood is,
+    # so only a graph without such a v searches
+    budget = _budget(G, limits)
+    closed1 = G.closed1_masks
+    lone = _singletons(G.closed2_masks, G.full_mask, budget)
+    if any(2 * closed1[v].bit_count() >= G.n for v in lone) or _any_q_kernel(
+        G, 2, budget, lambda mask: bool(_large_qk(G, mask))
+    ):
         return True, None
     return False, "no quasi-kernel reaches half the vertices within one step"
 

@@ -13,6 +13,7 @@ from quasikernel.digraph import (
     CheckReport,
     Digraph,
     _bits,
+    _q_kernel,
     _union,
     closed_in,
     closed_out,
@@ -335,6 +336,25 @@ class TestPredicates:
                 assert is_q_kernel(G, given(), q) == expected
             assert is_quasi_sink(G, given()) == expected_report(G, S, reaching)
             assert is_large_qk(G, given()) == large
+
+    def test_set_local_cover_agrees_with_the_rows(self):
+        # is_q_kernel and is_large_qk cover each set by its own closure; their
+        # reports must equal the ones read off reach_masks(q), on every
+        # subset of every digraph with n <= 4, and build no row
+        for warm in (G for n in range(5) for G in enumerate_all_digraphs(n)):
+            fresh = Digraph._trusted(warm.n, warm.out_masks)
+            reach = {q: warm.reach_masks(q) for q in (1, 2, 3, 4)}
+            subsets = [(mask, set(_bits(mask))) for mask in range(1 << warm.n)]
+            for q, rows in reach.items():
+                got = [is_q_kernel(fresh, S, q) for _, S in subsets]
+                assert got == [_q_kernel(warm, m, _union(rows, m)) for m, _ in subsets]
+            got = [bool(is_large_qk(fresh, S)) for _, S in subsets]
+            assert got == [
+                bool(_q_kernel(warm, m, _union(reach[2], m)))
+                and 2 * _union(reach[1], m).bit_count() >= warm.n
+                for m, _ in subsets
+            ]
+            assert "closed1_masks" not in fresh.__dict__
 
     def test_is_large_qk(self):
         assert is_large_qk(C4, {0, 2})

@@ -202,7 +202,8 @@ class TestRunClaim:
         monkeypatch.setattr(
             sweep, "is_kernel_perfect", lambda G, limits: (False, frozenset(range(G.n)))
         )
-        monkeypatch.setattr(sweep, "_any_q_kernel", lambda G, q, limits, accept: False)
+        monkeypatch.setattr(sweep, "_any_q_kernel", lambda G, q, budget, accept: False)
+        monkeypatch.setattr(sweep, "_singletons", lambda reach, full, budget: iter(()))
         monkeypatch.setattr(sweep, "_max_out_degree_vertex", lambda G: G.n - 1)
         assert CLAIMS[claim_id].check(G, SolverLimits()) == (False, witness)
 
@@ -382,14 +383,68 @@ class TestCountQKernels:
 
     def test_stops_at_the_cap(self):
         # every vertex of the regular 5-tournament is a quasi-kernel by
-        # itself; counting two of them takes two nodes, listing all five
-        # takes five
+        # itself; the lone-vertex scan counts two of them in two nodes,
+        # listing all five takes five
         T = Digraph(5, [(u, (u + d) % 5) for u in range(5) for d in (1, 2)])
         assert _count_q_kernels(T, 2, SolverLimits(max_subsets=2), 2) == 2
         with pytest.raises(ResourceLimitError):
             _count_q_kernels(T, 2, SolverLimits(max_subsets=1), 2)
         with pytest.raises(ResourceLimitError):
             enumerate_q_kernels(T, 2, SolverLimits(max_subsets=2))
+
+    def test_search_stops_at_the_cap(self):
+        # C7 has no lone quasi-kernel and seven of size three: the scan
+        # spends seven nodes, the search four more up to its second hit,
+        # while listing all seven takes the search fifteen
+        G = gen_cycle(7)
+        assert _count_q_kernels(G, 2, SolverLimits(max_subsets=11), 2) == 2
+        with pytest.raises(ResourceLimitError):
+            _count_q_kernels(G, 2, SolverLimits(max_subsets=10), 2)
+        with pytest.raises(ResourceLimitError):
+            enumerate_q_kernels(G, 2, SolverLimits(max_subsets=11))
+        assert len(enumerate_q_kernels(G, 2, SolverLimits(max_subsets=15))) == 7
+
+
+class TestSingletonScan:
+    # the counting claims and large-qk-exists scan for lone-vertex
+    # quasi-kernels before they search; these graphs must not be settled
+    # wrongly there
+
+    def test_large_exists_passes_at_a_later_large_king(self):
+        # {0} reaches all of V in two steps but only three vertices in one;
+        # {1} reaches exactly half of V in one step, so the scan passes there
+        G = Digraph(
+            8,
+            [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 0),
+             (4, 2), (5, 6), (5, 7)],
+        )
+        assert CLAIMS["large-qk-exists"].check(G, SolverLimits()) == (True, None)
+        assert "in_masks" not in G.__dict__
+
+    def test_large_exists_searches_past_small_kings(self):
+        # {1} is the only lone quasi-kernel and reaches three of the seven
+        # vertices in one step; {0, 1} reaches four
+        G = Digraph(
+            7,
+            [(1, 4), (1, 6), (2, 0), (3, 1), (4, 0), (4, 1), (5, 3), (6, 2),
+             (6, 3), (6, 5)],
+        )
+        qks = brute_q_kernels(G)
+        large = [Q for Q in qks if 2 * len(set_reach(G, Q, 1)) >= G.n]
+        assert [Q for Q in qks if len(Q) == 1] == [frozenset({1})]
+        assert frozenset({0, 1}) in large and all(len(Q) > 1 for Q in large)
+        assert CLAIMS["large-qk-exists"].check(G, SolverLimits()) == (True, None)
+
+    @pytest.mark.parametrize(
+        "claim_id",
+        ["gutin-unique", "moon", "jacob-meyniel", "croitoru-two", "large-qk-exists"],
+    )
+    def test_above_max_n_is_aborted(self, claim_id):
+        # every vertex of the regular 5-tournament is a lone quasi-kernel,
+        # so only the max_n guard keeps the scan from settling it
+        T = Digraph(5, [(u, (u + d) % 5) for u in range(5) for d in (1, 2)])
+        report = run_claim(CLAIMS[claim_id], [T], SolverLimits(max_n=4))
+        assert (report.instances, report.aborted) == (1, 1)
 
 
 class TestReportEmit:
