@@ -17,12 +17,10 @@ class SolverLimits:
     max_n caps the vertex count.  max_subsets caps the search nodes a call
     may visit, None meaning no cap; the default of 10M nodes is about 10 s
     of search.  Every solver runs the one set-cover search, and a node is
-    one vertex tried: by that search, or by a scan around it.
-    smallest_q_kernel and q_kernel_at_most scan for a lone-vertex q-kernel
-    first and for the witness after; the sweep's counting claims
-    (gutin-unique, croitoru-two, moon, jacob-meyniel) and large-qk-exists
-    make the same lone-vertex scan first, from the budget their search then
-    uses.  Each vertex a scan tries is one node.  max_n = 24 stays
+    one vertex tried: by that search, or by a scan around it.  Every
+    q-kernel walk (enumeration, has_kernel, the size search) scans for
+    lone-vertex q-kernels first, one node per vertex; the size search
+    scans for its witness after.  max_n = 24 stays
     the one default because is_kernel_perfect's loop over all 2^n vertex
     subsets needs it; a larger sparse graph is solved by passing max_n
     (the CLI's --max-n) explicitly, and the size search solves the n = 112
@@ -63,7 +61,7 @@ def _budget(G: Digraph, limits: SolverLimits | None) -> _Budget:
     return _Budget(limits.max_subsets)
 
 
-def _search(G: Digraph, q: int, budget: _Budget, visit):
+def _search(G: Digraph, q: int, reach, budget: _Budget, visit):
     """The one exact search, as rec(members, cover, allowed, k) on G at radius q.
 
     Set-cover branching (Fomin and Kratsch, Exact Exponential Algorithms,
@@ -75,7 +73,8 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     independent subset of allowed.  So visit meets every independent
     extension of members within allowed that completes cover exactly once,
     whichever u each node picks, and rec returns True as soon as visit does.
-    Every vertex tried costs one budget node.
+    Every vertex tried costs one budget node.  reach is G.reach_masks(q), which
+    the caller may have built already.
 
     A packing bound, the standard lower bound of dominating-set branch and
     bound (van Rooij and Bodlaender, "Exact algorithms for dominating set",
@@ -97,7 +96,7 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     is empty.  With no vertex to try it would only build an in-reach row, so
     the cut moves no node count.
     """
-    full, reach, und = G.full_mask, G.reach_masks(q), G.undirected_masks
+    full, und = G.full_mask, G.undirected_masks
     # in-reach rows are built on first use: a small search needs few, and
     # building all n up front read about 7% slower on exhaustive-pool (10 s
     # runs, 2 shared cores, Python 3.11)
@@ -153,27 +152,38 @@ def _search(G: Digraph, q: int, budget: _Budget, visit):
     return rec
 
 
-def _singletons(reach, full: int, budget: _Budget):
-    """Each v with reach[v] == full, ascending: with reach = G.reach_masks(q),
+def _singletons(reach, full: int, budget: _Budget, visit) -> bool:
+    """Call visit(1 << v) for each v with reach[v] == full, ascending, until it
+    returns True; whether it did.  With reach = G.reach_masks(q), these are
     the vertices v for which {v} is a q-kernel of G.
 
-    Every vertex tried costs one budget node, and the scan stops when its
-    caller does.  It reads nothing but reach, so a graph that it settles
-    never builds in_masks, undirected_masks or an in-reach row.
+    Every vertex tried costs one budget node.  The scan reads nothing but
+    reach, so a graph that it settles never builds in_masks,
+    undirected_masks or an in-reach row.
     """
     for v, row in enumerate(reach):
         budget.spend()
-        if row == full:
-            yield v
+        if row == full and visit(1 << v):
+            return True
+    return False
 
 
 def _first(members) -> bool:
     return True
 
 
-def _any_q_kernel(G: Digraph, q: int, budget: _Budget, visit) -> bool:
-    """Call visit on each q-kernel mask of G until it returns True; whether it did."""
-    return _search(G, q, budget, visit)(0, 0, G.full_mask, G.n)
+def _any_q_kernel(G: Digraph, q: int, limits: SolverLimits | None, visit) -> bool:
+    """Call visit on each q-kernel mask of G until it returns True; whether it did.
+
+    Lone-vertex q-kernels come first, in ascending order, then the others
+    the search meets, all from one node budget.
+    """
+    budget, reach = _budget(G, limits), G.reach_masks(q)
+    if _singletons(reach, G.full_mask, budget, visit):
+        return True
+    # mask 0, the empty graph's one q-kernel, is not a lone vertex
+    others = _search(G, q, reach, budget, lambda m: m.bit_count() != 1 and visit(m))
+    return others(0, 0, G.full_mask, G.n)
 
 
 def enumerate_q_kernels(G: Digraph, q: int = 2, limits: SolverLimits | None = None):
@@ -181,7 +191,7 @@ def enumerate_q_kernels(G: Digraph, q: int = 2, limits: SolverLimits | None = No
     if q < 1:
         raise ValueError("q must be at least 1")
     hits = []
-    _any_q_kernel(G, q, _budget(G, limits), hits.append)
+    _any_q_kernel(G, q, limits, hits.append)
     sets = [_set_of(m) for m in hits]
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 
@@ -192,7 +202,7 @@ def enumerate_kernels(G: Digraph, limits: SolverLimits | None = None):
 
 
 def has_kernel(G: Digraph, limits: SolverLimits | None = None) -> bool:
-    return _any_q_kernel(G, 1, _budget(G, limits), _first)
+    return _any_q_kernel(G, 1, limits, _first)
 
 
 def _smallest(
@@ -218,20 +228,19 @@ def _smallest(
         return frozenset()
     if cap < 1:
         return None
-    # a lone vertex that reaches all of V answers most small graphs; the scan
-    # spares them the masks the search builds
-    reach = G.reach_masks(q)
-    lone = next(_singletons(reach, full, budget), None)
-    if lone is not None:
-        return frozenset({lone})
-    und = G.undirected_masks
     found = []
 
     def keep(members):
         found.append(members)
         return True
 
-    completes = _search(G, q, budget, keep)
+    # a lone vertex that reaches all of V answers most small graphs; the scan
+    # spares them the masks the search builds
+    reach = G.reach_masks(q)
+    if _singletons(reach, full, budget, keep):
+        return frozenset({found[0].bit_length() - 1})
+    und = G.undirected_masks
+    completes = _search(G, q, reach, budget, keep)
     size = next((k for k in range(2, min(cap, n) + 1) if completes(0, 0, full, k)), None)
     if size is None:
         return None
@@ -294,7 +303,7 @@ def is_kernel_perfect(G: Digraph, limits: SolverLimits | None = None):
     kernel-free vertex subset in size-ascending, then lexicographic, order.
     """
     budget = _budget(G, limits)
-    has_kernel_on = _search(G, 1, budget, _first)
+    has_kernel_on = _search(G, 1, G.closed1_masks, budget, _first)
     for size in range(1, G.n + 1):
         for combo in combinations(range(G.n), size):
             W = sum(1 << v for v in combo)

@@ -11,7 +11,6 @@ from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import islice
 from typing import Callable
 
 from .construct import _max_out_degree_vertex
@@ -31,8 +30,6 @@ from .solver import (
     DEFAULT_LIMITS,
     SolverLimits,
     _any_q_kernel,
-    _budget,
-    _singletons,
     _twice_kls_bound,
     enumerate_q_kernels,
     has_kernel,
@@ -115,15 +112,8 @@ def _count_q_kernels(G, q, limits, cap):
 
     The counting claims all compare the count with a threshold, so the
     count stops at the q-kernel that settles it; only a violation enumerates
-    every quasi-kernel, for its witness text.  Lone-vertex q-kernels are
-    scanned first, and cap of them settle the count with no search.
-    Otherwise the search counts every q-kernel, singletons included, from
-    the same node budget.
+    every quasi-kernel, for its witness text.
     """
-    budget = _budget(G, limits)
-    lone = _singletons(G.reach_masks(q), G.full_mask, budget)
-    if len(list(islice(lone, cap))) == cap:
-        return cap
     hits = 0
 
     def visit(mask):
@@ -131,7 +121,7 @@ def _count_q_kernels(G, q, limits, cap):
         hits += 1
         return hits == cap
 
-    _any_q_kernel(G, q, budget, visit)
+    _any_q_kernel(G, q, limits, visit)
     return hits
 
 
@@ -203,14 +193,13 @@ def _check_spiro(G, limits):
 
 
 def _check_large_exists(G, limits):
-    # a lone quasi-kernel {v} is large when v's closed out-neighbourhood is,
-    # so only a graph without such a v searches
-    budget = _budget(G, limits)
-    closed1 = G.closed1_masks
-    lone = _singletons(G.closed2_masks, G.full_mask, budget)
-    if any(2 * closed1[v].bit_count() >= G.n for v in lone) or _any_q_kernel(
-        G, 2, budget, lambda mask: bool(_large_qk(G, mask))
-    ):
+    def large(mask):
+        # a lone quasi-kernel {v} is large when v's closed out-neighbourhood is
+        if mask.bit_count() == 1:
+            return 2 * G.closed1_masks[mask.bit_length() - 1].bit_count() >= G.n
+        return bool(_large_qk(G, mask))
+
+    if _any_q_kernel(G, 2, limits, large):
         return True, None
     return False, "no quasi-kernel reaches half the vertices within one step"
 
@@ -345,6 +334,8 @@ def run_claim(
 ) -> SweepReport:
     """Run one claim over a generators.Family, or any iterable of graphs.
 
+    The report names the family by family_desc, or else by the Family's desc.
+
     With jobs > 1 each worker process gets a slice of the family's items (a
     one-pass stream is listed first), its make and the claim, and builds its
     own graphs, so the claim's applies and check must be picklable (module
@@ -377,7 +368,8 @@ def run_claim(
     )
     elapsed = time.perf_counter() - start
     return SweepReport(
-        claim.id, family_desc, *counts, tuple(violations), elapsed, seed_info
+        claim.id, family_desc or family.desc, *counts, tuple(violations), elapsed,
+        seed_info,
     )
 
 

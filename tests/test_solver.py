@@ -98,6 +98,13 @@ class TestKernels:
     def test_has_kernel_matches_oracle(self, G):
         assert has_kernel(G) == bool(brute_kernels(G))
 
+    def test_lone_kernel_needs_no_in_masks(self):
+        # vertex 1's closed out-neighbourhood is all of V, so the lone-vertex
+        # scan settles the graph before the search builds in-neighbourhoods
+        G = Digraph(4, [(0, 1), (1, 0), (1, 2), (1, 3), (2, 3)])
+        assert has_kernel(G)
+        assert "in_masks" not in G.__dict__
+
 
 class TestSmallest:
     def test_examples(self):
@@ -271,13 +278,13 @@ class TestLimits:
 
     @pytest.mark.parametrize(
         "seed, expected, nodes",
-        [(336000, True, 3_940), (336002, False, 2_845)],
+        [(336000, True, 3_988), (336002, False, 2_893)],
         ids=["336000-True", "336002-False"],
     )
     def test_kernel_existence_stops_within_budget(self, seed, expected, nodes):
-        # set-cover branching needs exactly these nodes, whichever branch rule
-        # the size search uses; an ascending search over independent sets
-        # needs 61,318 and 26,139
+        # the lone-vertex scan's 48 nodes, then set-cover branching's 3,940
+        # and 2,845, whichever branch rule the size search uses; an ascending
+        # search over independent sets needs 61,318 and 26,139
         G = gen_random_digraph(48, 0.06, False, seed)
         assert has_kernel(G, SolverLimits(max_n=64, max_subsets=nodes)) is expected
         with pytest.raises(ResourceLimitError, match="budget exhausted"):

@@ -202,8 +202,7 @@ class TestRunClaim:
         monkeypatch.setattr(
             sweep, "is_kernel_perfect", lambda G, limits: (False, frozenset(range(G.n)))
         )
-        monkeypatch.setattr(sweep, "_any_q_kernel", lambda G, q, budget, accept: False)
-        monkeypatch.setattr(sweep, "_singletons", lambda reach, full, budget: iter(()))
+        monkeypatch.setattr(sweep, "_any_q_kernel", lambda G, q, limits, accept: False)
         monkeypatch.setattr(sweep, "_max_out_degree_vertex", lambda G: G.n - 1)
         assert CLAIMS[claim_id].check(G, SolverLimits()) == (False, witness)
 
@@ -350,6 +349,12 @@ class TestRunClaim:
         with pytest.raises(ValueError):
             run_claim(CLAIMS["kls"], [C3], jobs=0)
 
+    def test_family_desc_defaults_to_the_family(self):
+        family = enumerate_all_digraphs(2)
+        assert run_claim(CLAIMS["kls"], family).family == "all-digraphs(n=2)"
+        assert run_claim(CLAIMS["kls"], family, family_desc="mine").family == "mine"
+        assert run_claim(CLAIMS["kls"], [C3]).family == ""
+
     def test_report_equality_ignores_elapsed(self):
         a = SweepReport("kls", "f", 1, 1, 0, 0, (), 1.0, None)
         b = SweepReport("kls", "f", 1, 1, 0, 0, (), 2.0, None)
@@ -395,20 +400,22 @@ class TestCountQKernels:
     def test_search_stops_at_the_cap(self):
         # C7 has no lone quasi-kernel and seven of size three: the scan
         # spends seven nodes, the search four more up to its second hit,
-        # while listing all seven takes the search fifteen
+        # while listing all seven takes the scan and the search 22
         G = gen_cycle(7)
         assert _count_q_kernels(G, 2, SolverLimits(max_subsets=11), 2) == 2
         with pytest.raises(ResourceLimitError):
             _count_q_kernels(G, 2, SolverLimits(max_subsets=10), 2)
         with pytest.raises(ResourceLimitError):
             enumerate_q_kernels(G, 2, SolverLimits(max_subsets=11))
-        assert len(enumerate_q_kernels(G, 2, SolverLimits(max_subsets=15))) == 7
+        assert len(enumerate_q_kernels(G, 2, SolverLimits(max_subsets=22))) == 7
+        with pytest.raises(ResourceLimitError):
+            enumerate_q_kernels(G, 2, SolverLimits(max_subsets=21))
 
 
 class TestSingletonScan:
-    # the counting claims and large-qk-exists scan for lone-vertex
-    # quasi-kernels before they search; these graphs must not be settled
-    # wrongly there
+    # every q-kernel walk meets the lone-vertex q-kernels before it
+    # searches, and large-qk-exists judges those by one rule of its own;
+    # these graphs must not be settled wrongly there
 
     def test_large_exists_passes_at_a_later_large_king(self):
         # {0} reaches all of V in two steps but only three vertices in one;
