@@ -172,27 +172,37 @@ def _first(members) -> bool:
     return True
 
 
-def _any_q_kernel(G: Digraph, q: int, limits: SolverLimits | None, visit) -> bool:
-    """Call visit on each q-kernel mask of G until it returns True; whether it did.
+def _q_kernels(
+    G: Digraph, q: int, limits: SolverLimits | None, cap: int | None = None, wanted=None
+) -> list[int]:
+    """The q-kernel masks of G that wanted accepts, or all of them if it is None.
 
     Lone-vertex q-kernels come first, in ascending order, then the others
-    the search meets, all from one node budget.
+    the search meets, all from one node budget.  The walk stops once cap
+    masks are found, so a shorter list holds every accepted q-kernel.
     """
     budget, reach = _budget(G, limits), G.reach_masks(q)
-    if _singletons(reach, G.full_mask, budget, visit):
-        return True
-    # mask 0, the empty graph's one q-kernel, is not a lone vertex
-    others = _search(G, q, reach, budget, lambda m: m.bit_count() != 1 and visit(m))
-    return others(0, 0, G.full_mask, G.n)
+    found = []
+
+    def keep(m):
+        # a rejected mask must not end the walk
+        if wanted is None or wanted(m):
+            found.append(m)
+            return len(found) == cap
+        return False
+
+    if not _singletons(reach, G.full_mask, budget, keep):
+        # mask 0, the empty graph's one q-kernel, is not a lone vertex
+        others = _search(G, q, reach, budget, lambda m: m.bit_count() != 1 and keep(m))
+        others(0, 0, G.full_mask, G.n)
+    return found
 
 
 def enumerate_q_kernels(G: Digraph, q: int = 2, limits: SolverLimits | None = None):
     """All q-kernels of G, sorted by size and then lexicographically."""
     if q < 1:
         raise ValueError("q must be at least 1")
-    hits = []
-    _any_q_kernel(G, q, limits, hits.append)
-    sets = [_set_of(m) for m in hits]
+    sets = [_set_of(m) for m in _q_kernels(G, q, limits)]
     return tuple(sorted(sets, key=lambda s: (len(s), tuple(sorted(s)))))
 
 
@@ -202,7 +212,7 @@ def enumerate_kernels(G: Digraph, limits: SolverLimits | None = None):
 
 
 def has_kernel(G: Digraph, limits: SolverLimits | None = None) -> bool:
-    return _any_q_kernel(G, 1, limits, _first)
+    return bool(_q_kernels(G, 1, limits, 1))
 
 
 def _smallest(

@@ -29,7 +29,7 @@ from .graphio import format_graph
 from .solver import (
     DEFAULT_LIMITS,
     SolverLimits,
-    _any_q_kernel,
+    _q_kernels,
     _twice_kls_bound,
     enumerate_q_kernels,
     has_kernel,
@@ -107,26 +107,8 @@ def _applies_moon(G, limits):
     return G.n > 0 and is_tournament(G) and not sources(G)
 
 
-def _count_q_kernels(G, q, limits, cap):
-    """How many q-kernels G has, counted up to cap and no further.
-
-    The counting claims all compare the count with a threshold, so the
-    count stops at the q-kernel that settles it; only a violation enumerates
-    every quasi-kernel, for its witness text.
-    """
-    hits = 0
-
-    def visit(mask):
-        nonlocal hits
-        hits += 1
-        return hits == cap
-
-    _any_q_kernel(G, q, limits, visit)
-    return hits
-
-
 def _check_at_least_three(G, limits):
-    if _count_q_kernels(G, 2, limits, 3) == 3:
+    if len(_q_kernels(G, 2, limits, 3)) == 3:
         return True, None
     qks = enumerate_q_kernels(G, 2, limits)
     listed = [sorted(q) for q in qks]
@@ -138,7 +120,7 @@ def _applies_no_kernel(G, limits):
 
 
 def _check_gutin(G, limits):
-    unique = _count_q_kernels(G, 2, limits, 2) == 1
+    unique = len(_q_kernels(G, 2, limits, 2)) == 1
     src_is_kernel = bool(is_kernel(G, sources(G)))
     if unique == src_is_kernel:
         return True, None
@@ -149,7 +131,7 @@ def _check_gutin(G, limits):
 
 
 def _applies_exactly_two(G, limits):
-    return _count_q_kernels(G, 2, limits, 3) == 2
+    return len(_q_kernels(G, 2, limits, 3)) == 2
 
 
 def _check_croitoru(G, limits):
@@ -199,7 +181,7 @@ def _check_large_exists(G, limits):
             return 2 * G.closed1_masks[mask.bit_length() - 1].bit_count() >= G.n
         return bool(_large_qk(G, mask))
 
-    if _any_q_kernel(G, 2, limits, large):
+    if _q_kernels(G, 2, limits, 1, large):
         return True, None
     return False, "no quasi-kernel reaches half the vertices within one step"
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasikernel.digraph import Digraph, is_q_kernel
+from quasikernel.digraph import Digraph, _set_of, is_q_kernel
 from quasikernel.errors import ResourceLimitError
 from quasikernel.generators import (
     enumerate_all_digraphs,
@@ -18,6 +18,7 @@ from quasikernel.rng import SplitMix64
 from quasikernel.solver import (
     DEFAULT_LIMITS,
     SolverLimits,
+    _q_kernels,
     enumerate_kernels,
     enumerate_q_kernels,
     has_kernel,
@@ -33,6 +34,7 @@ from oracles import (
     brute_kernels,
     brute_q_kernels,
     brute_smallest,
+    set_reach,
 )
 from strategies import digraphs, source_free_digraphs
 
@@ -82,6 +84,36 @@ class TestEnumeration:
     @given(digraphs(max_n=6), st.integers(1, 3))
     def test_random_matches_oracle(self, G, q):
         assert sorted(enumerate_q_kernels(G, q)) == sorted(brute_q_kernels(G, q))
+
+
+
+class TestListing:
+    def test_listing_matches_enumeration_and_its_caps(self):
+        for G in (G for n in range(5) for G in enumerate_all_digraphs(n)):
+            for q in (1, 2, 3):
+                full = _q_kernels(G, q, None)
+                assert len(set(full)) == len(full), (G.arcs, q)
+                sets = sorted(map(_set_of, full), key=lambda s: (len(s), sorted(s)))
+                assert tuple(sets) == enumerate_q_kernels(G, q), (G.arcs, q)
+                for cap in (1, 2, 3, 4):
+                    assert _q_kernels(G, q, None, cap) == full[:cap], (G.arcs, q, cap)
+
+    def test_wanted_skips_a_rejected_king(self):
+        # {0} and {1} are both lone quasi-kernels; only {1} reaches half of V
+        # in one step, and a rejected {0} must not end the walk, nor the scan
+        # build in_masks
+        G = Digraph(
+            8,
+            [(0, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 6), (2, 7), (3, 0),
+             (4, 2), (5, 6), (5, 7)],
+        )
+
+        def rule(m):
+            return 2 * len(set_reach(G, _set_of(m), 1)) >= G.n
+
+        assert _q_kernels(G, 2, None, 1) == [1 << 0] and not rule(1 << 0)
+        assert _q_kernels(G, 2, None, 1, rule) == [1 << 1]
+        assert "in_masks" not in G.__dict__
 
 
 class TestKernels:

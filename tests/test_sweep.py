@@ -21,13 +21,12 @@ from quasikernel.generators import (
     gen_random_digraph,
 )
 from quasikernel.graphio import format_graph, save_graph
-from quasikernel.solver import SolverLimits, enumerate_q_kernels
+from quasikernel.solver import SolverLimits, _q_kernels, enumerate_q_kernels
 from quasikernel.sweep import (
     CLAIMS,
     Claim,
     SweepReport,
     Violation,
-    _count_q_kernels,
     random_source_free_family,
     report_emit,
     run_claim,
@@ -202,7 +201,7 @@ class TestRunClaim:
         monkeypatch.setattr(
             sweep, "is_kernel_perfect", lambda G, limits: (False, frozenset(range(G.n)))
         )
-        monkeypatch.setattr(sweep, "_any_q_kernel", lambda G, q, limits, accept: False)
+        monkeypatch.setattr(sweep, "_q_kernels", lambda G, q, limits, cap, wanted=None: [])
         monkeypatch.setattr(sweep, "_max_out_degree_vertex", lambda G: G.n - 1)
         assert CLAIMS[claim_id].check(G, SolverLimits()) == (False, witness)
 
@@ -369,7 +368,7 @@ class TestCountQKernels:
             for q in (1, 2, 3):
                 total = len(enumerate_q_kernels(G, q))
                 for cap in (1, 2, 3, 4):
-                    assert _count_q_kernels(G, q, None, cap) == min(cap, total)
+                    assert len(_q_kernels(G, q, None, cap)) == min(cap, total)
 
     def test_counting_checks_match_the_oracle_count(self):
         # called whether or not each hypothesis holds, so a wrong threshold
@@ -391,9 +390,9 @@ class TestCountQKernels:
         # itself; the lone-vertex scan counts two of them in two nodes,
         # listing all five takes five
         T = Digraph(5, [(u, (u + d) % 5) for u in range(5) for d in (1, 2)])
-        assert _count_q_kernels(T, 2, SolverLimits(max_subsets=2), 2) == 2
+        assert len(_q_kernels(T, 2, SolverLimits(max_subsets=2), 2)) == 2
         with pytest.raises(ResourceLimitError):
-            _count_q_kernels(T, 2, SolverLimits(max_subsets=1), 2)
+            _q_kernels(T, 2, SolverLimits(max_subsets=1), 2)
         with pytest.raises(ResourceLimitError):
             enumerate_q_kernels(T, 2, SolverLimits(max_subsets=2))
 
@@ -402,9 +401,9 @@ class TestCountQKernels:
         # spends seven nodes, the search four more up to its second hit,
         # while listing all seven takes the scan and the search 22
         G = gen_cycle(7)
-        assert _count_q_kernels(G, 2, SolverLimits(max_subsets=11), 2) == 2
+        assert len(_q_kernels(G, 2, SolverLimits(max_subsets=11), 2)) == 2
         with pytest.raises(ResourceLimitError):
-            _count_q_kernels(G, 2, SolverLimits(max_subsets=10), 2)
+            _q_kernels(G, 2, SolverLimits(max_subsets=10), 2)
         with pytest.raises(ResourceLimitError):
             enumerate_q_kernels(G, 2, SolverLimits(max_subsets=11))
         assert len(enumerate_q_kernels(G, 2, SolverLimits(max_subsets=22))) == 7
