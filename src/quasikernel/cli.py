@@ -72,29 +72,21 @@ def _partition_payload(part: HairyPartition) -> dict:
     }
 
 
-# family -> generator, the flags it takes in call order, and the sidecar key
-# of each value it returns after the graph
+# family -> generator, its flags in call order, the sidecar key of each value it
+# returns after the graph, the flags that set its size, its largest vertex count
 _GEN = {
-    "cycle": (gen_cycle, ("length",), ()),
-    "three-hub": (gen_three_hub, ("k",), ("labels",)),
-    "tight-hairy": (gen_tight_hairy, ("n", "strongly_connected"), ("partition", "labels")),
-    "random": (gen_random_digraph, ("n", "arc_prob", "source_free", "seed"), ()),
-    "random-tournament": (gen_random_tournament, ("n", "seed"), ()),
-    "random-hairy": (gen_random_hairy, ("m", "max_hairs", "seed"), ("partition",)),
-    "random-unicyclic": (gen_random_unicyclic, ("n", "seed"), ("cycle",)),
-}
-
-# family -> the flags that set its size, and its largest vertex count on args
-_GEN_SIZE = {
-    "cycle": ("length", lambda a: a.length),
-    "three-hub": ("k", lambda a: 3 + 3 * a.k),
-    "tight-hairy": (
-        "n", lambda a: (2 * a.n + 1) * (2 * a.n + 2) + 2 * a.strongly_connected
-    ),
-    "random": ("n", lambda a: a.n),
-    "random-tournament": ("n", lambda a: a.n),
-    "random-hairy": ("m max_hairs", lambda a: a.m * (a.max_hairs + 1)),
-    "random-unicyclic": ("n", lambda a: a.n),
+    "cycle": (gen_cycle, ("length",), (), ("length",), lambda a: a.length),
+    "three-hub": (gen_three_hub, ("k",), ("labels",), ("k",), lambda a: 3 + 3 * a.k),
+    "tight-hairy": (gen_tight_hairy, ("n", "strongly_connected"), ("partition", "labels"),
+                    ("n",),
+                    lambda a: (2 * a.n + 1) * (2 * a.n + 2) + 2 * a.strongly_connected),
+    "random": (gen_random_digraph, ("n", "arc_prob", "source_free", "seed"), (), ("n",),
+               lambda a: a.n),
+    "random-tournament": (gen_random_tournament, ("n", "seed"), (), ("n",), lambda a: a.n),
+    "random-hairy": (gen_random_hairy, ("m", "max_hairs", "seed"), ("partition",),
+                     ("m", "max_hairs"), lambda a: a.m * (a.max_hairs + 1)),
+    "random-unicyclic": (gen_random_unicyclic, ("n", "seed"), ("cycle",), ("n",),
+                         lambda a: a.n),
 }
 
 # sidecar key -> its JSON form, in the order the keys are written
@@ -123,11 +115,10 @@ def _write(args, pieces, summary, meta=None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    generate, flags, keys = _GEN[args.family]
+    generate, flags, keys, sized, count = _GEN[args.family]
     values = [_req(args, f, "family") for f in flags]
-    sized, count = _GEN_SIZE[args.family]
     if count(args) > _MAX_VERTICES:  # the written graph must parse back
-        given = " ".join(f"{_flag(f)} {getattr(args, f)}" for f in sized.split())
+        given = " ".join(f"{_flag(f)} {getattr(args, f)}" for f in sized)
         raise ValueError(f"{given}: up to {count(args)} vertices, above the "
                          f"{_MAX_VERTICES} that parse_graph reads back")
     try:

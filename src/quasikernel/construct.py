@@ -329,17 +329,18 @@ def find_king(G: Digraph) -> int:
     """Lowest-index maximum out-degree vertex of a tournament.
 
     Such a vertex reaches every other vertex within two steps; that is
-    re-checked before returning.
+    re-checked before returning, else VerificationError "max out-degree
+    vertex K misses vertex W within two steps" names the lowest W missed.
     """
     if not is_tournament(G):
         raise PreconditionError("graph is not a tournament")
     if G.n == 0:
         raise PreconditionError("empty tournament has no king")
     king = _max_out_degree_vertex(G)
-    if G.closed2_masks[king] != G.full_mask:
-        raise VerificationError(
-            f"vertex {king} does not reach every vertex within two steps"
-        )
+    missed = G.full_mask & ~_reach(G.out_masks, 1 << king, 2)
+    if missed:
+        raise VerificationError(f"max out-degree vertex {king} misses vertex "
+                                f"{next(_bits(missed))} within two steps")
     return king
 
 

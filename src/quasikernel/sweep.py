@@ -13,17 +13,18 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from typing import Callable
 
-from .construct import _max_out_degree_vertex
+from .construct import find_king
 from .digraph import (
     Digraph,
     _large_qk,
+    _mask_of,
+    _reach,
     has_directed_odd_cycle,
     is_kernel,
-    is_q_kernel,
     is_tournament,
     sources,
 )
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, VerificationError
 from .generators import Family, random_source_free_family  # noqa: F401 (re-export)
 from .graphio import format_graph
 from .solver import (
@@ -103,8 +104,12 @@ def _check_size(q, bound, G, limits):
     return False, f"smallest {name} {sorted(Q)} has size {len(Q)}, above {bound(G, True)}"
 
 
+def _applies_tournament(G, limits):
+    return G.n > 0 and is_tournament(G)
+
+
 def _applies_moon(G, limits):
-    return G.n > 0 and is_tournament(G) and not sources(G)
+    return _applies_tournament(G, limits) and not sources(G)
 
 
 def _check_at_least_three(G, limits):
@@ -121,7 +126,8 @@ def _applies_no_kernel(G, limits):
 
 def _check_gutin(G, limits):
     unique = len(_q_kernels(G, 2, limits, 2)) == 1
-    src_is_kernel = bool(is_kernel(G, sources(G)))
+    # no arc joins two sources, so they form a kernel exactly when they cover V
+    src_is_kernel = _reach(G.out_masks, _mask_of(sources(G), G.n), 1) == G.full_mask
     if unique == src_is_kernel:
         return True, None
     return False, (
@@ -186,19 +192,12 @@ def _check_large_exists(G, limits):
     return False, "no quasi-kernel reaches half the vertices within one step"
 
 
-def _applies_tournament(G, limits):
-    return G.n > 0 and is_tournament(G)
-
-
 def _check_max_degree_king(G, limits):
-    king = _max_out_degree_vertex(G)
-    rep = is_q_kernel(G, frozenset({king}), 2)
-    if rep:
-        return True, None
-    return False, (
-        f"max out-degree vertex {king} misses vertex {rep.witness} within "
-        f"two steps"
-    )
+    try:
+        find_king(G)
+    except VerificationError as exc:
+        return False, str(exc)
+    return True, None
 
 
 CLAIMS: dict[str, Claim] = {

@@ -153,8 +153,8 @@ class TestGen:
         def generate(*values):
             raise Generated
 
-        _, flags, keys = cli._GEN[family]
-        monkeypatch.setitem(cli._GEN, family, (generate, flags, keys))
+        _, *rest = cli._GEN[family]
+        monkeypatch.setitem(cli._GEN, family, (generate, *rest))
         rest = ["--arc-prob", "0.5", "--seed", "1"]  # families that take none ignore them
         with pytest.raises(Generated):
             main(["gen", "--family", family, *at_cap, *rest])
@@ -163,6 +163,31 @@ class TestGen:
             f"error: {given}: up to {vertices} vertices, above the 65536 "
             "that parse_graph reads back\n"
         )
+
+    @pytest.mark.parametrize(
+        "family, flags",
+        [("cycle", ["--length", "5"]),
+         ("three-hub", ["--k", "2"]),
+         ("tight-hairy", ["--n", "1"]),
+         ("tight-hairy", ["--n", "1", "--strongly-connected"]),
+         ("random", ["--n", "7", "--arc-prob", "0.5", "--seed", "1"]),
+         ("random-tournament", ["--n", "7", "--seed", "1"]),
+         ("random-unicyclic", ["--n", "7", "--seed", "1"])],
+    )
+    def test_vertex_count_rule_is_the_generated_count(self, family, flags):
+        generate, names, keys, _, count = cli._GEN[family]
+        args = _build_parser().parse_args(["gen", "--family", family, *flags])
+        made = generate(*(getattr(args, f) for f in names))
+        G = made[0] if keys else made
+        assert count(args) == G.n
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_hairy_vertex_count_rule_is_an_upper_bound(self, seed):
+        generate, names, _, _, count = cli._GEN["random-hairy"]
+        argv = ["gen", "--family", "random-hairy", "--m", "4", "--max-hairs", "3"]
+        args = _build_parser().parse_args([*argv, "--seed", str(seed)])
+        G, _ = generate(*(getattr(args, f) for f in names))
+        assert 4 <= G.n <= count(args) == 16
 
 
 class TestCl:

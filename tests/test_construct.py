@@ -380,6 +380,18 @@ class TestFindKing:
         with pytest.raises(PreconditionError, match="no king"):
             find_king(Digraph(0))
 
+    def test_a_miss_names_the_lowest_vertex_missed(self, monkeypatch):
+        # the sink of the transitive 3-tournament reaches neither other vertex
+        monkeypatch.setattr(construct, "_max_out_degree_vertex", lambda G: 2)
+        with pytest.raises(VerificationError) as exc:
+            find_king(Digraph(3, [(0, 1), (0, 2), (1, 2)]))
+        assert str(exc.value) == "max out-degree vertex 2 misses vertex 0 within two steps"
+
+    def test_builds_no_closed2_masks(self):
+        G = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+        assert find_king(G) == 0
+        assert "closed2_masks" not in G.__dict__
+
     @settings(max_examples=80, deadline=None)
     @given(tournaments(max_n=8))
     def test_king_properties(self, G):

@@ -10,7 +10,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from quasikernel import cli, sweep
+from quasikernel import cli, construct, sweep
 from quasikernel.digraph import Digraph
 from quasikernel.errors import ResourceLimitError, VertexRangeError
 from quasikernel.generators import (
@@ -202,7 +202,7 @@ class TestRunClaim:
             sweep, "is_kernel_perfect", lambda G, limits: (False, frozenset(range(G.n)))
         )
         monkeypatch.setattr(sweep, "_q_kernels", lambda G, q, limits, cap, wanted=None: [])
-        monkeypatch.setattr(sweep, "_max_out_degree_vertex", lambda G: G.n - 1)
+        monkeypatch.setattr(construct, "_max_out_degree_vertex", lambda G: G.n - 1)
         assert CLAIMS[claim_id].check(G, SolverLimits()) == (False, witness)
 
     def test_skip_semantics(self):
