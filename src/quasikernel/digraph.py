@@ -43,12 +43,15 @@ class Digraph:
     Only n and out_masks are stored; bit v of out_masks[u] is set when u -> v.
     The mask views in_masks, closed1_masks, closed2_masks, undirected_masks
     and full_mask are each built on their own first read, so a q = 1 check
-    never builds closed2_masks.  They are _lazy, not
+    never builds closed2_masks.  The solvers' lone-vertex scan reads the
+    rows of closed1_masks or closed2_masks through _reach_rows: a scan that
+    a lone vertex settles builds no view, and one that reads every row
+    leaves the view built.  The views are _lazy, not
     functools.cached_property: on Python 3.10 and 3.11 that takes a lock on
     every first read, 0.74 to 1.14 us beyond a field read against 0.23 us
     for _lazy (trivial build, Python 3.11), and an exhaustive sweep reads up
     to five views per graph.  Digraph is immutable, so two threads racing
-    to build a view store equal values.  in_masks, closed2_masks and
+    to build a view store equal values.  in_masks, _closed_rows and
     _union walk set bits by hand, highest first (v = m.bit_length() - 1;
     m ^= 1 << v): no generator, no negation, and the mask shrinks as it
     goes, 1.3 to 1.6 times as fast as an x & -x walk at n = 2000 and no
@@ -119,21 +122,11 @@ class Digraph:
 
     @_lazy
     def closed1_masks(self) -> tuple[int, ...]:
-        return tuple((1 << u) | m for u, m in enumerate(self.out_masks))
+        return tuple(_closed_rows(self.out_masks, 1))
 
     @_lazy
     def closed2_masks(self) -> tuple[int, ...]:
-        # walked inline: 25% faster than c | _union(out, m) on 4,000 random
-        # graphs with n <= 10 (Python 3.11)
-        out = self.out_masks
-        masks = []
-        for c, m in zip(self.closed1_masks, out):
-            while m:
-                v = m.bit_length() - 1
-                m ^= 1 << v
-                c |= out[v]
-            masks.append(c)
-        return tuple(masks)
+        return tuple(_closed_rows(self.out_masks, 2))
 
     @_lazy
     def undirected_masks(self) -> tuple[int, ...]:
@@ -143,11 +136,49 @@ class Digraph:
         """Per-vertex closed q-step out-reachability masks."""
         if q < 0:
             raise ValueError("q must be non-negative")
-        if q == 1:
-            return self.closed1_masks
-        if q == 2:
-            return self.closed2_masks
-        return tuple(_reach(self.out_masks, 1 << u, q) for u in range(self.n))
+        if q in _VIEWS:
+            return getattr(self, _VIEWS[q])
+        return tuple(_closed_rows(self.out_masks, q))
+
+    def _reach_rows(self, q: int):
+        """reach_masks(q) if that view is built, else a generator of its rows
+        that closes each one only when it is read.
+
+        A scan that stops at row v so closes rows 0..v and builds no view;
+        one that reads every row hands the tuple to _keep_reach.
+        """
+        view = self.__dict__.get(_VIEWS.get(q))
+        return _closed_rows(self.out_masks, q) if view is None else view
+
+    def _keep_reach(self, q: int, rows: tuple[int, ...]) -> tuple[int, ...]:
+        """Store rows, every row of reach_masks(q), as its view when it has one."""
+        if q in _VIEWS:
+            self.__dict__[_VIEWS[q]] = rows
+        return rows
+
+
+# the reach_masks(q) that Digraph keeps as a view, by q
+_VIEWS = {1: "closed1_masks", 2: "closed2_masks"}
+
+
+def _closed_rows(out, q: int):
+    """Each vertex's closed q-step out-reach mask, in vertex order, one at a time."""
+    if q == 1:
+        for u, m in enumerate(out):
+            yield (1 << u) | m
+    elif q == 2:
+        # walked inline: 25% faster than c | _union(out, m) on 4,000 random
+        # graphs with n <= 10 (Python 3.11)
+        for u, m in enumerate(out):
+            c = (1 << u) | m
+            while m:
+                v = m.bit_length() - 1
+                m ^= 1 << v
+                c |= out[v]
+            yield c
+    else:
+        for u in range(len(out)):
+            yield _reach(out, 1 << u, q)
 
 
 def _bits(mask: int):
@@ -234,7 +265,12 @@ def closed_in(G: Digraph, S: Iterable[int], q: int = 1) -> VertexSet:
 
 def sources(G: Digraph) -> VertexSet:
     """Vertices with in-degree zero."""
-    return _set_of(G.full_mask & ~_union(G.out_masks, G.full_mask))
+    return _set_of(_source_mask(G))
+
+
+def _source_mask(G: Digraph) -> int:
+    """sources(G) as a vertex mask."""
+    return G.full_mask & ~_union(G.out_masks, G.full_mask)
 
 
 def _independent(G: Digraph, mask: int) -> CheckReport:

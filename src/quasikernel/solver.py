@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .digraph import Digraph, VertexSet, _reach, _set_of, out_neighbors, sources
+from .digraph import Digraph, VertexSet, _reach, _set_of, _source_mask, _union
 from .errors import ResourceLimitError
 
 
@@ -19,12 +19,15 @@ class SolverLimits:
     of search.  Every solver runs the one set-cover search, and a node is
     one vertex tried: by that search, or by a scan around it.  Every
     q-kernel walk (enumeration, has_kernel, the size search) scans for
-    lone-vertex q-kernels first, one node per vertex; the size search
-    scans for its witness after.  max_n = 24 stays
-    the one default because is_kernel_perfect's loop over all 2^n vertex
-    subsets needs it; a larger sparse graph is solved by passing max_n
-    (the CLI's --max-n) explicitly, and the size search solves the n = 112
-    graph gen_random_digraph(112, 0.05, True, 112000) in 139k nodes.
+    lone-vertex q-kernels first, one node per vertex, and closes each
+    vertex's q-step row only when it reaches it: a graph that the scan
+    settles builds no reach view, and a scan that reads every row leaves
+    the view built.  The size search scans for its witness after.
+    max_n = 24 stays the one default because is_kernel_perfect's loop over
+    all 2^n vertex subsets needs it; a larger sparse graph is solved by
+    passing max_n (the CLI's --max-n) explicitly, and the size search solves
+    the n = 112 graph gen_random_digraph(112, 0.05, True, 112000) in 139k
+    nodes.
     """
 
     max_n: int = 24
@@ -73,8 +76,8 @@ def _search(G: Digraph, q: int, reach, budget: _Budget, visit):
     independent subset of allowed.  So visit meets every independent
     extension of members within allowed that completes cover exactly once,
     whichever u each node picks, and rec returns True as soon as visit does.
-    Every vertex tried costs one budget node.  reach is G.reach_masks(q), which
-    the caller may have built already.
+    Every vertex tried costs one budget node.  reach holds every row of
+    G.reach_masks(q), as the lone-vertex scan returns them.
 
     A packing bound, the standard lower bound of dominating-set branch and
     bound (van Rooij and Bodlaender, "Exact algorithms for dominating set",
@@ -152,20 +155,26 @@ def _search(G: Digraph, q: int, reach, budget: _Budget, visit):
     return rec
 
 
-def _singletons(reach, full: int, budget: _Budget, visit) -> bool:
-    """Call visit(1 << v) for each v with reach[v] == full, ascending, until it
-    returns True; whether it did.  With reach = G.reach_masks(q), these are
-    the vertices v for which {v} is a q-kernel of G.
+def _singletons(G: Digraph, q: int, budget: _Budget, visit):
+    """Call visit(1 << v) for each v whose closed q-step out-reach is all of
+    V, that is each v for which {v} is a q-kernel of G, ascending, until it
+    returns True.  Then None, or else every row of G.reach_masks(q).
 
-    Every vertex tried costs one budget node.  The scan reads nothing but
-    reach, so a graph that it settles never builds in_masks,
-    undirected_masks or an in-reach row.
+    Every vertex tried costs one budget node.  A built view is read as it
+    is; otherwise each row is closed only when the scan reaches its vertex,
+    so a graph settled at vertex v closes rows 0..v and builds no reach
+    view, nor in_masks, undirected_masks or an in-reach row.  A scan that
+    reads every row leaves the q = 1 or 2 view built (a graph solved again
+    reads it), and hands its rows to _search, which so builds none twice.
     """
-    for v, row in enumerate(reach):
+    rows = G._reach_rows(q)
+    full, read = G.full_mask, []
+    for v, row in enumerate(rows):
         budget.spend()
         if row == full and visit(1 << v):
-            return True
-    return False
+            return None
+        read.append(row)
+    return rows if isinstance(rows, tuple) else G._keep_reach(q, tuple(read))
 
 
 def _first(members) -> bool:
@@ -181,7 +190,7 @@ def _q_kernels(
     the search meets, all from one node budget.  The walk stops once cap
     masks are found, so a shorter list holds every accepted q-kernel.
     """
-    budget, reach = _budget(G, limits), G.reach_masks(q)
+    budget = _budget(G, limits)
     found = []
 
     def keep(m):
@@ -191,7 +200,8 @@ def _q_kernels(
             return len(found) == cap
         return False
 
-    if not _singletons(reach, G.full_mask, budget, keep):
+    reach = _singletons(G, q, budget, keep)
+    if reach is not None:
         # mask 0, the empty graph's one q-kernel, is not a lone vertex
         others = _search(G, q, reach, budget, lambda m: m.bit_count() != 1 and keep(m))
         others(0, 0, G.full_mask, G.n)
@@ -246,8 +256,8 @@ def _smallest(
 
     # a lone vertex that reaches all of V answers most small graphs; the scan
     # spares them the masks the search builds
-    reach = G.reach_masks(q)
-    if _singletons(reach, full, budget, keep):
+    reach = _singletons(G, q, budget, keep)
+    if reach is None:
         return frozenset({found[0].bit_length() - 1})
     und = G.undirected_masks
     completes = _search(G, q, reach, budget, keep)
@@ -328,5 +338,5 @@ def kls_bound(G: Digraph) -> Fraction:
 
 
 def _twice_kls_bound(G: Digraph) -> int:
-    S = sources(G)
-    return G.n + len(S) - len(out_neighbors(G, S))
+    S = _source_mask(G)
+    return G.n + S.bit_count() - _union(G.out_masks, S).bit_count()

@@ -17,8 +17,8 @@ from .construct import find_king
 from .digraph import (
     Digraph,
     _large_qk,
-    _mask_of,
     _reach,
+    _source_mask,
     has_directed_odd_cycle,
     is_kernel,
     is_tournament,
@@ -82,7 +82,7 @@ def _applies_always(G, limits):
 
 
 def _applies_source_free(G, limits):
-    return not sources(G)
+    return not _source_mask(G)
 
 
 def _half_n(G, shown=False):
@@ -109,7 +109,7 @@ def _applies_tournament(G, limits):
 
 
 def _applies_moon(G, limits):
-    return _applies_tournament(G, limits) and not sources(G)
+    return _applies_tournament(G, limits) and not _source_mask(G)
 
 
 def _check_at_least_three(G, limits):
@@ -127,7 +127,7 @@ def _applies_no_kernel(G, limits):
 def _check_gutin(G, limits):
     unique = len(_q_kernels(G, 2, limits, 2)) == 1
     # no arc joins two sources, so they form a kernel exactly when they cover V
-    src_is_kernel = _reach(G.out_masks, _mask_of(sources(G), G.n), 1) == G.full_mask
+    src_is_kernel = _reach(G.out_masks, _source_mask(G), 1) == G.full_mask
     if unique == src_is_kernel:
         return True, None
     return False, (
@@ -184,7 +184,7 @@ def _check_large_exists(G, limits):
     def large(mask):
         # a lone quasi-kernel {v} is large when v's closed out-neighbourhood is
         if mask.bit_count() == 1:
-            return 2 * G.closed1_masks[mask.bit_length() - 1].bit_count() >= G.n
+            return 2 * (G.out_masks[mask.bit_length() - 1].bit_count() + 1) >= G.n
         return bool(_large_qk(G, mask))
 
     if _q_kernels(G, 2, limits, 1, large):

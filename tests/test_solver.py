@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quasikernel import digraph
 from quasikernel.digraph import Digraph, _set_of, is_q_kernel
 from quasikernel.errors import ResourceLimitError
 from quasikernel.generators import (
@@ -28,6 +29,7 @@ from quasikernel.solver import (
     q_kernel_at_most,
     smallest_q_kernel,
 )
+from quasikernel.sweep import CLAIMS
 
 from oracles import (
     brute_is_kernel_perfect,
@@ -136,6 +138,61 @@ class TestKernels:
         G = Digraph(4, [(0, 1), (1, 0), (1, 2), (1, 3), (2, 3)])
         assert has_kernel(G)
         assert "in_masks" not in G.__dict__
+
+    def test_settled_scan_builds_no_reach_view(self):
+        # every vertex of C3 reaches all of V within two steps; the scan closes
+        # rows only as it reaches them, so stopping early builds no view
+        walks = (
+            lambda G: smallest_q_kernel(G) == {0},
+            lambda G: _q_kernels(G, 2, None, 2) == [1 << 0, 1 << 1],
+            lambda G: CLAIMS["large-qk-exists"].check(G, DEFAULT_LIMITS) == (True, None),
+        )
+        for walk in walks:
+            G = Digraph._trusted(3, C3.out_masks)
+            assert walk(G)
+            assert "closed2_masks" not in G.__dict__
+            assert "closed1_masks" not in G.__dict__
+
+    def test_complete_scan_leaves_the_view_built(self):
+        graphs = [G for n in range(5) for G in enumerate_all_digraphs(n)]
+        graphs += [
+            gen_random_digraph(1 + s % 10, 0.1 + 0.05 * (s % 12), False, s)
+            for s in range(300)
+        ]
+        for G in graphs:
+            for q in (1, 2, 3):
+                H = Digraph._trusted(G.n, G.out_masks)
+                _q_kernels(H, q, None)  # no cap: the scan reads every row
+                if q < 3:
+                    assert f"closed{q}_masks" in H.__dict__, (G.arcs, q)
+                fresh = Digraph._trusted(G.n, G.out_masks)
+                assert H.reach_masks(q) == fresh.reach_masks(q), (G.arcs, q)
+
+    def test_built_view_is_read(self, monkeypatch):
+        G = Digraph._trusted(4, C4.out_masks)
+        G.closed2_masks
+        monkeypatch.setattr(digraph, "_closed_rows", None)
+        assert smallest_q_kernel(G) == {0, 2}
+
+    def test_q3_rows_are_closed_once(self, monkeypatch):
+        closed = []
+        reach = digraph._reach
+
+        def counting_reach(step, mask, q):
+            if q == 3:
+                closed.append(mask)
+            return reach(step, mask, q)
+
+        monkeypatch.setattr(digraph, "_reach", counting_reach)
+        # {2} is the one lone 3-kernel, so the scan closes rows 0, 1 and 2 only
+        settled = Digraph(5, [(2, 0), (2, 1), (2, 3), (3, 4)])
+        assert smallest_q_kernel(settled, 3) == {2}
+        assert closed == [1 << 0, 1 << 1, 1 << 2]
+        # on C7 no vertex reaches all of V within three steps: the scan closes
+        # every row and the search reads those rows, closing none again
+        closed.clear()
+        assert smallest_q_kernel(gen_cycle(7), 3) == {0, 3}
+        assert sorted(closed) == [1 << v for v in range(7)]
 
 
 class TestSmallest:
