@@ -26,7 +26,7 @@ class SolverLimits:
     max_n = 24 stays the one default because is_kernel_perfect's loop over
     all 2^n vertex subsets needs it; a larger sparse graph is solved by
     passing max_n (the CLI's --max-n) explicitly, and the size search solves
-    the n = 112 graph gen_random_digraph(112, 0.05, True, 112000) in 139k
+    the n = 112 graph gen_random_digraph(112, 0.05, True, 112000) in 26,428
     nodes.
     """
 
@@ -86,14 +86,25 @@ def _search(G: Digraph, q: int, reach, budget: _Budget, visit):
     pairwise disjoint each need a member of their own, and an uncovered
     vertex with an empty row needs one that no longer exists.  The walk
     runs only while k is below the number of uncovered vertices, the one
-    case where the count can exceed k.  Having built every uncovered row,
-    it picks as u the one with the fewest allowed candidates, the lowest
-    such vertex on a tie: the "fewest options first" rule of Knuth's
-    Algorithm X ("Dancing links", arXiv cs/0011047, 2000).  Otherwise u is
-    the lowest uncovered vertex.  Enumeration, has_kernel and
-    is_kernel_perfect start with k at least the uncovered count, and k
-    minus it never falls, so they never pay for the walk and always branch
-    on the lowest vertex.
+    case where the count can exceed k, and so only in the size search.
+    Enumeration, has_kernel and is_kernel_perfect start with k at least the
+    uncovered count, and k minus it never falls, so they never pay for the
+    walk and always branch on the lowest uncovered vertex.
+
+    The walk packs greedily twice.  The first pass takes the uncovered
+    vertices in ascending order, building their allowed rows, and returns
+    at the first refutation.  The second sorts the rows stably by size and
+    packs them smallest first, which often keeps more rows disjoint and so
+    cuts earlier.  Its first row is u's: the uncovered vertex with the fewest
+    allowed candidates, the lowest such vertex on a tie, as the sort is
+    stable.  That is the "fewest options first" rule of Knuth's Algorithm X
+    ("Dancing links", arXiv cs/0011047, 2000).  When k is 1, the last
+    member must lie in every uncovered row, so the walk intersects them in
+    place of the second pass, returns once the intersection is empty, and
+    branches only on what is left: the other candidates of u's row could
+    not finish the cover.  Both rules cut only branches that meet no set,
+    and neither changes the order of those that do, so the first set met
+    and so every answer stay; only node counts change.
 
     A node whose cover is incomplete returns at once when k is 0 or allowed
     is empty.  With no vertex to try it would only build an in-reach row, so
@@ -113,7 +124,7 @@ def _search(G: Digraph, q: int, reach, budget: _Budget, visit):
             if k == 0 or not allowed:
                 return False
             if k < missing.bit_count():
-                used, need, rest, fewest = 0, 0, missing, G.n + 1
+                used, need, rest, rows = 0, 0, missing, []
                 while rest:
                     bit = rest & -rest
                     rest ^= bit
@@ -124,14 +135,27 @@ def _search(G: Digraph, q: int, reach, budget: _Budget, visit):
                     row &= allowed
                     if not row:
                         return False
-                    options = row.bit_count()
-                    if options < fewest:
-                        fewest, branches = options, row
+                    rows.append(row)
                     if not row & used:
                         used |= row
                         need += 1
                         if need > k:
                             return False
+                if k == 1:
+                    branches = allowed
+                    for row in rows:
+                        branches &= row
+                        if not branches:
+                            return False
+                else:
+                    rows.sort(key=int.bit_count)
+                    branches, used, need = rows[0], 0, 0
+                    for row in rows:
+                        if not row & used:
+                            used |= row
+                            need += 1
+                            if need > k:
+                                return False
             else:
                 u = (missing & -missing).bit_length() - 1
                 row = in_reach[u]

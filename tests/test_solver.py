@@ -311,6 +311,30 @@ class TestRelabelling:
         assert is_q_kernel(H, frozenset(perm[v] for v in small), 2)
 
 
+class TestDisjointUnion:
+    # a disjoint union's answers follow from its parts: at n = 24 it is past
+    # the brute-force oracle's reach, and it runs the size search's packing
+    # and one-member cuts deep
+    @pytest.mark.parametrize("block", range(8))
+    def test_answers_follow_from_the_parts(self, block):
+        for s in range(50 * block, 50 * block + 50):
+            G = gen_random_digraph(12, 0.15, True, 2 * s)
+            H = gen_random_digraph(12, 0.15, True, 2 * s + 1)
+            # G and H side by side, H's vertices shifted by G.n
+            U = Digraph(G.n + H.n, list(G.arcs) + [(u + G.n, v + G.n) for u, v in H.arcs])
+            for q in (1, 2, 3):
+                # equal sizes are ordered by the least vertex where they
+                # differ, so the lex-least parts make the lex-least union
+                mine, theirs = smallest_q_kernel(G, q), smallest_q_kernel(H, q)
+                union = None
+                if mine is not None and theirs is not None:
+                    union = mine | {v + G.n for v in theirs}
+                assert smallest_q_kernel(U, q) == union, (s, q)
+            counts = len(_q_kernels(G, 2, None)) * len(_q_kernels(H, 2, None))
+            assert len(_q_kernels(U, 2, None)) == counts, s
+            assert has_kernel(U) == (has_kernel(G) and has_kernel(H)), s
+
+
 class TestDisjointPairs:
     def test_examples(self):
         assert has_two_disjoint_qks(C3) == (frozenset({0}), frozenset({1}))
@@ -357,13 +381,19 @@ class TestLimits:
             enumerate_q_kernels(gen_cycle(6), 2, limits)
 
     def test_sparse_search_stays_within_budget(self):
-        # set-cover branching with the packing bound, the witness guide and the
-        # fewest-candidates branch needs exactly 1,648 nodes here
-        G = gen_random_digraph(56, 0.05, True, 392)
-        limits = SolverLimits(max_n=64, max_subsets=1_648)
-        assert sorted(smallest_q_kernel(G, 2, limits)) == [2, 3, 4, 13, 21, 45, 46, 47]
-        with pytest.raises(ResourceLimitError, match="budget exhausted"):
-            smallest_q_kernel(G, 2, SolverLimits(max_n=64, max_subsets=1_647))
+        # set-cover branching with the witness guide, the fewest-candidates
+        # branch, the packing bound in vertex order and then in ascending row
+        # size, and the one-member intersection needs exactly these counts,
+        # so losing any of them fails here
+        for n, max_n, seed, nodes, expected in [
+            (56, 64, 392, 533, [2, 3, 4, 13, 21, 45, 46, 47]),
+            (112, 128, 112000, 26_428, [9, 19, 23, 40, 45, 97]),
+        ]:
+            G = gen_random_digraph(n, 0.05, True, seed)
+            limits = SolverLimits(max_n=max_n, max_subsets=nodes)
+            assert sorted(smallest_q_kernel(G, 2, limits)) == expected, n
+            with pytest.raises(ResourceLimitError, match="budget exhausted"):
+                smallest_q_kernel(G, 2, SolverLimits(max_n=max_n, max_subsets=nodes - 1))
 
     @pytest.mark.parametrize(
         "seed, expected, nodes",
