@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from operator import or_
 from typing import Callable, Iterable
 
 from .construct import HairyPartition
@@ -201,6 +202,9 @@ class Family:
 
     make must be picklable (module level, or a partial of such a function),
     since run_claim's pool workers get a slice of the items and build graphs.
+    An exhaustive family's make is a partial that carries the family's two
+    half tables, up to 2,048 + 1,024 entries (see _pair_states), so each
+    pool chunk pickles them with it.
     """
 
     desc: str
@@ -211,16 +215,29 @@ class Family:
         return map(self.make, self.items)
 
 
-def _pair_graph(n: int, states: tuple[int, ...], digit: int, pairs, code: int):
-    """The digraph of one counter code of _pair_states."""
-    out = [0] * n
-    for u, v, shift in pairs:
-        state = states[code >> shift & digit]
-        if state & 1:
-            out[u] |= 1 << v
-        if state & 2:
-            out[v] |= 1 << u
-    return Digraph._trusted(n, out)
+def _pair_graph(n: int, mask: int, shift: int, low, high, code: int) -> Digraph:
+    """The digraph of one counter code of _pair_states: its two half rows or'ed."""
+    return Digraph._trusted(n, map(or_, low[code & mask], high[code >> shift]))
+
+
+def _half_table(n: int, states: tuple[int, ...], width: int, pairs) -> tuple:
+    """The n out-masks that each digit code of the given pairs sets.
+
+    Entry c is the graph with only these pairs, pair k in state
+    states[digit k of c], digit 0 least significant.
+    """
+    digit = (1 << width) - 1
+    table = []
+    for code in range(1 << (width * len(pairs))):
+        out = [0] * n
+        for k, (u, v) in enumerate(pairs):
+            state = states[code >> (width * k) & digit]
+            if state & 1:
+                out[u] |= 1 << v
+            if state & 2:
+                out[v] |= 1 << u
+        table.append(tuple(out))
+    return tuple(table)
 
 
 def _pair_states(desc: str, n: int, states: tuple[int, ...]) -> Family:
@@ -228,12 +245,24 @@ def _pair_states(desc: str, n: int, states: tuple[int, ...]) -> Family:
 
     A state's 1 bit puts in the arc low->high and its 2 bit the arc
     high->low.  The items are the range of counter codes, with one digit
-    per pair, the first pair least significant, each digit indexing states;
-    the number of states must be a power of two.
+    per pair in combinations order, the first pair least significant, each
+    digit indexing states; the number of states must be a power of two.
+
+    Each code is split in two: the least significant ceil(P/2) of the P
+    pairs and the rest.  One table per half, built here once per family,
+    maps that half's digit code to the n out-masks its pairs set, so a graph
+    is two lookups and an or per vertex.  The tables ride in make, a
+    picklable partial, so each pool chunk pickles them: 256 + 128 entries
+    for the 6-vertex tournaments, 1,024 + 1,024 for the 5-vertex digraphs
+    and 2,048 + 1,024 for the 7-vertex tournaments.
     """
     width = (len(states) - 1).bit_length()
-    pairs = [(u, v, width * k) for k, (u, v) in enumerate(combinations(range(n), 2))]
-    make = partial(_pair_graph, n, states, (1 << width) - 1, pairs)
+    pairs = list(combinations(range(n), 2))
+    half = (len(pairs) + 1) // 2
+    shift = width * half
+    low = _half_table(n, states, width, pairs[:half])
+    high = _half_table(n, states, width, pairs[half:])
+    make = partial(_pair_graph, n, (1 << shift) - 1, shift, low, high)
     return Family(desc, make, range(1 << (width * len(pairs))))
 
 

@@ -120,6 +120,28 @@ class TestConstruction:
         with pytest.raises(FrozenInstanceError):
             G.out_masks = ()
 
+    @settings(max_examples=60)
+    @given(digraphs(max_n=7))
+    def test_trusted_keeps_the_frozen_contract(self, G):
+        # _trusted writes its fields into __dict__ and skips the dataclass
+        # __init__; what it builds must still behave as a checked Digraph
+        checked = Digraph(G.n, G.arcs)
+        T = Digraph._trusted(G.n, iter(checked.out_masks))
+        assert T == checked and hash(T) == hash(checked)
+        assert type(T.out_masks) is tuple and T.out_masks == checked.out_masks
+        assert T.__dict__ == {"n": G.n, "out_masks": checked.out_masks}
+        for name in ("n", "out_masks", "in_masks"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(T, name, 0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(T, name)
+        views = ("full_mask", "in_masks", "closed1_masks", "closed2_masks", "undirected_masks")
+        for view in views:
+            built = getattr(T, view)
+            assert built == getattr(checked, view)
+            assert T.__dict__[view] is built and getattr(T, view) is built
+        assert T == checked
+
     def test_repr_mentions_sizes(self):
         assert repr(C3) == "Digraph(n=3, m=3)"
 

@@ -1,6 +1,9 @@
 """Generator and enumerator tests: exact wiring, determinism, golden streams."""
 
 import hashlib
+import pickle
+import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -235,7 +238,46 @@ class TestRandomUnicyclic:
             gen_random_unicyclic(2, 0)
 
 
+def _decode(n: int, base: int, code: int) -> Digraph:
+    """The graph of a counter code, read one digit per pair from the definition.
+
+    Digit k sets the state of pair k in combinations order: in base 4, 1 is
+    low->high, 2 high->low and 3 both; in base 2, 0 is low->high.
+    """
+    arcs = []
+    for u, v in combinations(range(n), 2):
+        code, digit = divmod(code, base)
+        state = digit if base == 4 else digit + 1
+        if state & 1:
+            arcs.append((u, v))
+        if state & 2:
+            arcs.append((v, u))
+    return Digraph(n, arcs)
+
+
 class TestEnumerators:
+    @pytest.mark.parametrize(
+        "enum, base, n",
+        [(enumerate_all_digraphs, 4, n) for n in range(6)]
+        + [(enumerate_all_tournaments, 2, n) for n in range(8)],
+    )
+    def test_make_matches_the_pair_digit_definition(self, enum, base, n):
+        # make or's two precomputed half rows; every code of the small
+        # families, and the ends and a seeded sample of the two largest,
+        # must build the graph the digits describe, also after the pickle
+        # round trip that takes make to the pool workers
+        family = enum(n)
+        codes = family.items
+        if len(codes) > 50_000:
+            rnd = random.Random(n)
+            codes = [*codes[:1000], *codes[-1000:]]
+            codes += [rnd.randrange(len(family.items)) for _ in range(1000)]
+        shipped = pickle.loads(pickle.dumps(family.make))
+        for code in codes:
+            G = _decode(n, base, code)
+            for H in (family.make(code), shipped(code)):
+                assert H == G and H.out_masks == G.out_masks, code
+
     def test_digraph_counts(self):
         assert len(list(enumerate_all_digraphs(0))) == 1
         assert len(list(enumerate_all_digraphs(1))) == 1

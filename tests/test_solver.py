@@ -311,6 +311,11 @@ class TestRelabelling:
         assert is_q_kernel(H, frozenset(perm[v] for v in small), 2)
 
 
+def _side_by_side(G: Digraph, H: Digraph) -> Digraph:
+    """The disjoint union of G and H, H's vertices shifted by G.n."""
+    return Digraph(G.n + H.n, list(G.arcs) + [(u + G.n, v + G.n) for u, v in H.arcs])
+
+
 class TestDisjointUnion:
     # a disjoint union's answers follow from its parts: at n = 24 it is past
     # the brute-force oracle's reach, and it runs the size search's packing
@@ -320,8 +325,7 @@ class TestDisjointUnion:
         for s in range(50 * block, 50 * block + 50):
             G = gen_random_digraph(12, 0.15, True, 2 * s)
             H = gen_random_digraph(12, 0.15, True, 2 * s + 1)
-            # G and H side by side, H's vertices shifted by G.n
-            U = Digraph(G.n + H.n, list(G.arcs) + [(u + G.n, v + G.n) for u, v in H.arcs])
+            U = _side_by_side(G, H)
             for q in (1, 2, 3):
                 # equal sizes are ordered by the least vertex where they
                 # differ, so the lex-least parts make the lex-least union
@@ -333,6 +337,33 @@ class TestDisjointUnion:
             counts = len(_q_kernels(G, 2, None)) * len(_q_kernels(H, 2, None))
             assert len(_q_kernels(U, 2, None)) == counts, s
             assert has_kernel(U) == (has_kernel(G) and has_kernel(H)), s
+
+    def test_kernel_perfectness_follows_from_the_parts(self):
+        # a kernel-free subset of G + H has a kernel-free part, so the
+        # smallest one lies in one side: the smaller of the parts' witnesses
+        # in (size, lex) order, H's shifted, G's on a tie as its vertices
+        # come first; the cycles make H win on size and G on a tie
+        pairs = [(gen_cycle(5), C3), (C3, gen_cycle(5)), (C3, C3), (C4, C3)]
+        pairs += [
+            (gen_random_digraph(6, 0.3, False, 2 * s), gen_random_digraph(6, 0.3, False, 2 * s + 1))
+            for s in range(50)
+        ]
+        imperfect = 0
+        for s, (G, H) in enumerate(pairs):
+            witnesses = []
+            for shift, part in ((0, G), (G.n, H)):
+                perfect, witness = is_kernel_perfect(part)
+                if not perfect:
+                    witnesses.append(sorted(v + shift for v in witness))
+            got = is_kernel_perfect(_side_by_side(G, H))
+            if witnesses:
+                imperfect += 1
+                smallest = min(witnesses, key=lambda w: (len(w), w))
+                assert got == (False, frozenset(smallest)), s
+            else:
+                assert got == (True, None), s
+        # the four cycle pairs and 15 of the random unions
+        assert imperfect == 19
 
 
 class TestDisjointPairs:
