@@ -41,16 +41,19 @@ class Digraph:
     """Finite loopless digraph on vertices 0..n-1 with at most one copy of each arc.
 
     Only n and out_masks are stored; bit v of out_masks[u] is set when u -> v.
-    The mask views in_masks, closed1_masks, closed2_masks, undirected_masks
-    and full_mask are each built on their own first read, so a q = 1 check
-    never builds closed2_masks.  The solvers' lone-vertex scan reads the
-    rows of closed1_masks or closed2_masks through _reach_rows: a scan that
-    a lone vertex settles builds no view, and one that reads every row
-    leaves the view built.  The views are _lazy, not
+    The mask views in_masks, closed1_masks, closed2_masks, undirected_masks,
+    full_mask and source_mask are each built on their own first read, so a
+    q = 1 check never builds closed2_masks, and the claims and the q-kernel
+    walk that read source_mask compute it once per graph.  The solvers'
+    lone-vertex scan reads the rows of closed1_masks or closed2_masks
+    through _reach_rows: a scan that a lone vertex settles builds no view,
+    and one that reads every row leaves the view built.  The q-kernel walk
+    scans only source-free graphs; on a graph with a source it builds no
+    view unless the sources leave vertices to add.  The views are _lazy, not
     functools.cached_property: on Python 3.10 and 3.11 that takes a lock on
     every first read, 0.74 to 1.14 us beyond a field read against 0.23 us
-    for _lazy (trivial build, Python 3.11), and an exhaustive sweep reads up
-    to five views per graph.  Digraph is immutable, so two threads racing
+    for _lazy (trivial build, Python 3.11), and an exhaustive sweep reads
+    several views per graph.  Digraph is immutable, so two threads racing
     to build a view store equal values.  in_masks, _closed_rows and
     _union walk set bits by hand, highest first (v = m.bit_length() - 1;
     m ^= 1 << v): no generator, no negation, and the mask shrinks as it
@@ -114,6 +117,11 @@ class Digraph:
     @_lazy
     def full_mask(self) -> int:
         return (1 << self.n) - 1
+
+    @_lazy
+    def source_mask(self) -> int:
+        """The vertices of in-degree zero, as a mask."""
+        return self.full_mask & ~_union(self.out_masks, self.full_mask)
 
     @_lazy
     def in_masks(self) -> tuple[int, ...]:
@@ -271,12 +279,7 @@ def closed_in(G: Digraph, S: Iterable[int], q: int = 1) -> VertexSet:
 
 def sources(G: Digraph) -> VertexSet:
     """Vertices with in-degree zero."""
-    return _set_of(_source_mask(G))
-
-
-def _source_mask(G: Digraph) -> int:
-    """sources(G) as a vertex mask."""
-    return G.full_mask & ~_union(G.out_masks, G.full_mask)
+    return _set_of(G.source_mask)
 
 
 def _independent(G: Digraph, mask: int) -> CheckReport:

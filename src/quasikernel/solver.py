@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .digraph import Digraph, VertexSet, _reach, _set_of, _source_mask, _union
+from .digraph import Digraph, VertexSet, _reach, _set_of, _union
 from .errors import ResourceLimitError
 
 
@@ -18,11 +18,15 @@ class SolverLimits:
     may visit, None meaning no cap; the default of 10M nodes is about 10 s
     of search.  Every solver runs the one set-cover search, and a node is
     one vertex tried: by that search, or by a scan around it.  Every
-    q-kernel walk (enumeration, has_kernel, the size search) scans for
-    lone-vertex q-kernels first, one node per vertex, and closes each
-    vertex's q-step row only when it reaches it: a graph that the scan
-    settles builds no reach view, and a scan that reads every row leaves
-    the view built.  The size search scans for its witness after.
+    q-kernel walk (enumeration, has_kernel, the size search) scans a
+    source-free graph for lone-vertex q-kernels first, one node per vertex,
+    and closes each vertex's q-step row only when it reaches it: a graph
+    that the scan settles builds no reach view, and a scan that reads every
+    row leaves the view built.  On a graph with sources, enumeration and
+    has_kernel start from the sources instead, which every q-kernel
+    contains: one node for a lone source, none for more, then a search over
+    what the sources leave; the size search keeps its scan.  The size
+    search scans for its witness after.
     max_n = 24 stays the one default because is_kernel_perfect's loop over
     all 2^n vertex subsets needs it; a larger sparse graph is solved by
     passing max_n (the CLI's --max-n) explicitly, and the size search solves
@@ -77,7 +81,8 @@ def _search(G: Digraph, q: int, reach, budget: _Budget, visit):
     extension of members within allowed that completes cover exactly once,
     whichever u each node picks, and rec returns True as soon as visit does.
     Every vertex tried costs one budget node.  reach holds every row of
-    G.reach_masks(q), as the lone-vertex scan returns them.
+    G.reach_masks(q), as the lone-vertex scan returns them or as the view
+    holds them.
 
     A packing bound, the standard lower bound of dominating-set branch and
     bound (van Rooij and Bodlaender, "Exact algorithms for dominating set",
@@ -213,9 +218,17 @@ def _q_kernels(
     Lone-vertex q-kernels come first, in ascending order, then the others
     the search meets, all from one node budget.  The walk stops once cap
     masks are found, so a shorter list holds every accepted q-kernel.
+
+    A source is reached by nothing but itself, so every q-kernel contains
+    the sources S.  When S is not empty the walk skips the lone-vertex scan:
+    only a lone source can be a lone q-kernel, at one node.  The search then
+    starts at members S, cover the q-step closure of S and allowed V minus S
+    and its out-neighbours, all of S's neighbours since no arc enters a
+    source.  When nothing is allowed, S is the one candidate left, and the
+    walk builds no search, reach view, in_masks or undirected_masks.
     """
     budget = _budget(G, limits)
-    found = []
+    full, found = G.full_mask, []
 
     def keep(m):
         # a rejected mask must not end the walk
@@ -224,11 +237,29 @@ def _q_kernels(
             return len(found) == cap
         return False
 
-    reach = _singletons(G, q, budget, keep)
-    if reach is not None:
+    def other(m):
         # mask 0, the empty graph's one q-kernel, is not a lone vertex
-        others = _search(G, q, reach, budget, lambda m: m.bit_count() != 1 and keep(m))
-        others(0, 0, G.full_mask, G.n)
+        return m.bit_count() != 1 and keep(m)
+
+    S = G.source_mask
+    if S:
+        cover = _reach(G.out_masks, S, q)
+        if S.bit_count() == 1:
+            budget.spend()
+            if cover == full and keep(S):
+                return found
+        allowed = full & ~(S | _union(G.out_masks, S))
+        if not allowed:
+            if cover == full:
+                other(S)
+            return found
+        reach = G.reach_masks(q)
+    else:
+        reach = _singletons(G, q, budget, keep)
+        if reach is None:
+            return found
+        S, cover, allowed = 0, 0, full
+    _search(G, q, reach, budget, other)(S, cover, allowed, G.n)
     return found
 
 
@@ -331,7 +362,14 @@ def smallest_q_kernel(
 def has_two_disjoint_qks(
     G: Digraph, q: int = 2, limits: SolverLimits | None = None
 ):
-    """First disjoint pair from the sorted q-kernel enumeration, or None."""
+    """First disjoint pair from the sorted q-kernel enumeration, or None.
+
+    None without a search when G has a source, for every q-kernel contains
+    it; a bad q and the max_n guard still raise as they do for other graphs.
+    """
+    if q >= 1 and G.source_mask:  # a bad q goes on to enumerate's ValueError
+        _budget(G, limits)
+        return None
     qks = enumerate_q_kernels(G, q, limits)
     for i in range(len(qks)):
         for j in range(i + 1, len(qks)):
@@ -362,5 +400,5 @@ def kls_bound(G: Digraph) -> Fraction:
 
 
 def _twice_kls_bound(G: Digraph) -> int:
-    S = _source_mask(G)
+    S = G.source_mask
     return G.n + S.bit_count() - _union(G.out_masks, S).bit_count()

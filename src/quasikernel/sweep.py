@@ -18,7 +18,6 @@ from .digraph import (
     Digraph,
     _large_qk,
     _reach,
-    _source_mask,
     has_directed_odd_cycle,
     is_kernel,
     is_tournament,
@@ -82,7 +81,7 @@ def _applies_always(G, limits):
 
 
 def _applies_source_free(G, limits):
-    return not _source_mask(G)
+    return not G.source_mask
 
 
 def _half_n(G, shown=False):
@@ -109,7 +108,7 @@ def _applies_tournament(G, limits):
 
 
 def _applies_moon(G, limits):
-    return _applies_tournament(G, limits) and not _source_mask(G)
+    return _applies_tournament(G, limits) and not G.source_mask
 
 
 def _check_at_least_three(G, limits):
@@ -127,7 +126,7 @@ def _applies_no_kernel(G, limits):
 def _check_gutin(G, limits):
     unique = len(_q_kernels(G, 2, limits, 2)) == 1
     # no arc joins two sources, so they form a kernel exactly when they cover V
-    src_is_kernel = _reach(G.out_masks, _source_mask(G), 1) == G.full_mask
+    src_is_kernel = _reach(G.out_masks, G.source_mask, 1) == G.full_mask
     if unique == src_is_kernel:
         return True, None
     return False, (

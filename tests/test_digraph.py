@@ -116,6 +116,7 @@ class TestConstruction:
             ins[v].append(u)
         assert adjacency(G.in_masks) == tuple(tuple(sorted(i)) for i in ins)
         assert sources(G) == {v for v in range(G.n) if not ins[v]}
+        assert G.source_mask == sum(1 << v for v in range(G.n) if not ins[v])
         assert [f.name for f in fields(G)] == ["n", "out_masks"]
         with pytest.raises(FrozenInstanceError):
             G.out_masks = ()
@@ -135,7 +136,10 @@ class TestConstruction:
                 setattr(T, name, 0)
             with pytest.raises(FrozenInstanceError):
                 delattr(T, name)
-        views = ("full_mask", "in_masks", "closed1_masks", "closed2_masks", "undirected_masks")
+        views = (
+            "full_mask", "source_mask", "in_masks", "closed1_masks", "closed2_masks",
+            "undirected_masks",
+        )
         for view in views:
             built = getattr(T, view)
             assert built == getattr(checked, view)
@@ -216,7 +220,10 @@ class TestMasks:
                 assert "closed2_masks" not in H.__dict__
 
     def test_views_are_built_once_and_survive_pickling(self):
-        views = ("full_mask", "in_masks", "closed1_masks", "closed2_masks", "undirected_masks")
+        views = (
+            "full_mask", "source_mask", "in_masks", "closed1_masks", "closed2_masks",
+            "undirected_masks",
+        )
         G = gen_random_digraph(9, 0.3, False, 4)
         assert not set(views) & set(G.__dict__)
         first = [getattr(G, view) for view in views]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasikernel import digraph
-from quasikernel.digraph import Digraph, _set_of, is_q_kernel
+from quasikernel.digraph import Digraph, _mask_of, _set_of, is_q_kernel, sources
 from quasikernel.errors import ResourceLimitError
 from quasikernel.generators import (
     enumerate_all_digraphs,
@@ -36,6 +36,7 @@ from oracles import (
     brute_kernels,
     brute_q_kernels,
     brute_smallest,
+    brute_sources,
     set_reach,
 )
 from strategies import digraphs, source_free_digraphs
@@ -100,6 +101,15 @@ class TestListing:
                 for cap in (1, 2, 3, 4):
                     assert _q_kernels(G, q, None, cap) == full[:cap], (G.arcs, q, cap)
 
+    def test_every_listed_mask_holds_the_sources(self):
+        for G in (G for n in range(5) for G in enumerate_all_digraphs(n)):
+            S = _mask_of(brute_sources(G), G.n)
+            for q in (1, 2, 3):
+                found = _q_kernels(G, q, None)
+                assert all(m & S == S for m in found), (G.arcs, q)
+                listed = sorted(map(sorted, map(_set_of, found)))
+                assert listed == sorted(map(sorted, brute_q_kernels(G, q))), (G.arcs, q)
+
     def test_wanted_skips_a_rejected_king(self):
         # {0} and {1} are both lone quasi-kernels; only {1} reaches half of V
         # in one step, and a rejected {0} must not end the walk, nor the scan
@@ -162,11 +172,25 @@ class TestKernels:
         for G in graphs:
             for q in (1, 2, 3):
                 H = Digraph._trusted(G.n, G.out_masks)
-                _q_kernels(H, q, None)  # no cap: the scan reads every row
-                if q < 3:
+                _q_kernels(H, q, None)
+                # no cap: on a source-free graph the scan reads every row; a
+                # graph with a source skips the scan
+                if q < 3 and not G.source_mask:
                     assert f"closed{q}_masks" in H.__dict__, (G.arcs, q)
                 fresh = Digraph._trusted(G.n, G.out_masks)
                 assert H.reach_masks(q) == fresh.reach_masks(q), (G.arcs, q)
+
+    def test_emperor_is_settled_in_one_node(self):
+        # vertex 0 beats every other vertex: it is the one source, and {0} is
+        # the one kernel and quasi-kernel, found with nothing left to search
+        arcs = [(0, v) for v in range(1, 5)] + [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3), (2, 4)]
+        for q in (1, 2, 3):
+            G = Digraph(5, arcs)
+            assert _q_kernels(G, q, SolverLimits(max_subsets=1)) == [1 << 0]
+            for view in ("closed1_masks", "closed2_masks", "in_masks", "undirected_masks"):
+                assert view not in G.__dict__, (q, view)
+            with pytest.raises(ResourceLimitError, match="budget exhausted"):
+                _q_kernels(G, q, SolverLimits(max_subsets=0))
 
     def test_built_view_is_read(self, monkeypatch):
         G = Digraph._trusted(4, C4.out_masks)
@@ -373,6 +397,15 @@ class TestDisjointPairs:
         assert has_two_disjoint_qks(pair) == (frozenset({0}), frozenset({1}))
         assert has_two_disjoint_qks(PATH) is None
 
+    def test_matches_the_enumerated_pairs(self):
+        # every q-kernel holds the sources, so a graph with one has no pair
+        for G in (G for n in range(5) for G in enumerate_all_digraphs(n)):
+            for q in (1, 2, 3):
+                qks = enumerate_q_kernels(G, q)
+                pairs = [(a, b) for i, a in enumerate(qks) for b in qks[i + 1:] if not a & b]
+                assert not (pairs and sources(G)), (G.arcs, q)
+                assert has_two_disjoint_qks(G, q) == (pairs[0] if pairs else None), (G.arcs, q)
+
     @settings(max_examples=50, deadline=None)
     @given(digraphs(max_n=6))
     def test_pair_members_are_quasi_kernels(self, G):
@@ -402,6 +435,8 @@ class TestLimits:
             enumerate_q_kernels(C4, 2, limits)
         with pytest.raises(ResourceLimitError):
             smallest_q_kernel(C4, 2, limits)
+        with pytest.raises(ResourceLimitError, match="n=4 exceeds max_n=3"):
+            has_two_disjoint_qks(Digraph(4, [(0, 1), (1, 2), (2, 3)]), 2, limits)
         for size in (0, 1):
             with pytest.raises(ResourceLimitError, match="n=30 exceeds max_n=24"):
                 q_kernel_at_most(gen_cycle(30), 2, size)
@@ -427,15 +462,19 @@ class TestLimits:
                 smallest_q_kernel(G, 2, SolverLimits(max_n=max_n, max_subsets=nodes - 1))
 
     @pytest.mark.parametrize(
-        "seed, expected, nodes",
-        [(336000, True, 3_988), (336002, False, 2_893)],
-        ids=["336000-True", "336002-False"],
+        "seed, source_free, expected, nodes",
+        [(336000, False, True, 776), (336002, False, False, 482),
+         (336000, True, True, 4_077), (336002, True, False, 2_558)],
+        ids=["336000-True", "336002-False", "336000-source-free", "336002-source-free"],
     )
-    def test_kernel_existence_stops_within_budget(self, seed, expected, nodes):
-        # the lone-vertex scan's 48 nodes, then set-cover branching's 3,940
-        # and 2,845, whichever branch rule the size search uses; an ascending
-        # search over independent sets needs 61,318 and 26,139
-        G = gen_random_digraph(48, 0.06, False, seed)
+    def test_kernel_existence_stops_within_budget(self, seed, source_free, expected, nodes):
+        # the first two graphs have 3 sources each, which every kernel
+        # contains, so set-cover branching starts from them with no
+        # lone-vertex scan: 776 and 482 nodes, where a scan and an empty start
+        # take 3,988 and 2,893 and an ascending search over independent sets
+        # 61,318 and 26,139; the source-free two take the scan's 48 nodes,
+        # then 4,029 and 2,510, whichever branch rule the size search uses
+        G = gen_random_digraph(48, 0.06, source_free, seed)
         assert has_kernel(G, SolverLimits(max_n=64, max_subsets=nodes)) is expected
         with pytest.raises(ResourceLimitError, match="budget exhausted"):
             has_kernel(G, SolverLimits(max_n=64, max_subsets=nodes - 1))
